@@ -191,9 +191,9 @@ def _add_backend_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend", default=None, metavar="SPEC",
         help=(
-            "executor backend NAME[:WORKERS]: serial, local-pool[:N], or "
-            "subprocess:N ('repro worker' children over stdio); default: "
-            "auto (env REPRO_BACKEND, else picked from --jobs)"
+            "executor backend NAME[:WORKERS]: serial (in-process) or "
+            "local-pool[:N] (N forked single-job workers); default: auto "
+            "(env REPRO_BACKEND, else picked from --jobs)"
         ),
     )
     sub.add_argument(
@@ -308,14 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_args(sub)
     _add_status_args(sub)
     _add_telemetry_args(sub)
-
-    subparsers.add_parser(
-        "worker",
-        help=(
-            "run as a stdio job-protocol worker (internal: spawned by the "
-            "'subprocess' executor backend, locally or over SSH)"
-        ),
-    )
 
     from .chaos.cli import add_chaos_parser
 
@@ -1172,21 +1164,15 @@ def _run_bench(args: argparse.Namespace) -> int:
 def dispatch(args: argparse.Namespace) -> int:
     """Execute a parsed (or hand-built) namespace.
 
-    Unlike raw ``FIGURES[args.command]``, unknown figure names get a
-    friendly error listing the available figures — this is the entry point
-    for callers that bypass ``argparse``.
+    Unknown figure names get a friendly error listing the available
+    figures — this is the entry point for callers that bypass
+    ``argparse``.
     """
     command = getattr(args, "command", None)
     if command == "list":
         for name, spec in registry().items():
             print(f"{name:12s} {spec.doc}")
         return 0
-    if command == "worker":
-        # The stdio protocol owns stdout; no friendly-error wrapping — a
-        # protocol violation must kill the child visibly.
-        from .runner.worker import worker_main
-
-        return worker_main()
     try:
         if command == "all":
             return _run_all(args)

@@ -14,11 +14,6 @@ interface (``python -m repro``), the parallel experiment engine
 
 Figure functions return :class:`Rows` — a ``list`` of dicts with
 ``to_csv()`` / ``to_json()`` / ``to_table()`` serialization helpers.
-
-The legacy module-level ``FIGURES`` dict and the free functions
-``rows_to_csv`` / ``rows_to_table`` still work but emit a
-``DeprecationWarning``; use :func:`registry` and the :class:`Rows` methods
-instead.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -391,37 +385,3 @@ def run_figure(name: str, seed: int = 0, **overrides: Any) -> Rows:
     """Validate ``name`` and parameters, then run the figure."""
     return get_spec(name).run(seed=seed, **overrides)
 
-
-# -- deprecated aliases -------------------------------------------------------
-
-
-def __getattr__(name: str) -> Any:
-    if name == "FIGURES":
-        warnings.warn(
-            "repro.figures.FIGURES is deprecated; "
-            "use repro.figures.registry() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {spec_name: spec.fn for spec_name, spec in _SPECS.items()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def rows_to_csv(rows: list[dict[str, Any]]) -> str:
-    """Deprecated: use :meth:`Rows.to_csv`."""
-    warnings.warn(
-        "rows_to_csv is deprecated; use Rows.to_csv() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Rows(rows).to_csv()
-
-
-def rows_to_table(rows: list[dict[str, Any]]) -> str:
-    """Deprecated: use :meth:`Rows.to_table`."""
-    warnings.warn(
-        "rows_to_table is deprecated; use Rows.to_table() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Rows(rows).to_table()

@@ -1,9 +1,9 @@
 """End-to-end sweep tracing: the control plane's own distributed trace.
 
-PR-8 split sweep execution across processes (engine → executor backend →
-``repro worker`` children), but observability stopped at the process
-boundary: a job was a single ``wall_time_s`` in the manifest and nothing
-explained where a sweep's wall time actually went.  This module is the
+Sweep execution spans processes (engine → executor backend → forked
+worker processes), yet without a trace a job is a single
+``wall_time_s`` in the manifest and nothing explains where a sweep's
+wall time actually went.  This module is the
 knowledge plane over that control plane:
 
 - the engine mints a run-level **trace id** (a digest of the sorted job
@@ -16,7 +16,7 @@ knowledge plane over that control plane:
   ``cache_hit`` — which a :class:`SweepTraceRecorder` appends to
   ``sweep.events.jsonl`` (schema :data:`SWEEPTRACE_SCHEMA`) next to the
   manifest;
-- the worker stdio protocol carries the span context, so the child-side
+- each job payload carries the span context, so the child-side
   ``runner.job`` Chrome spans are correlated with the engine's job spans
   by span id;
 - :func:`build_timeline` + :func:`critical_path` reconstruct the sweep
@@ -175,8 +175,8 @@ class SweepTraceRecorder:
         return self._spans[index]
 
     def span_context(self, index: int) -> dict[str, str]:
-        """The ``{"trace", "span"}`` dict a job payload carries across
-        the worker protocol so child-side spans correlate."""
+        """The ``{"trace", "span"}`` dict a job payload carries into the
+        worker process so child-side spans correlate."""
         return {"trace": self.trace, "span": self._spans[index]}
 
     # -- engine hooks ------------------------------------------------------
@@ -567,9 +567,9 @@ def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
 def assign_lanes(tl: SweepTimeline) -> list[int]:
     """One lane per attempt (parallel to ``tl.attempts``).
 
-    Attempts carrying a worker id (the subprocess backend) map onto that
-    worker's lane; the rest (local pool, serial) are packed greedily onto
-    virtual slot lanes by start time — the classic interval-partitioning
+    Attempts carrying a worker id (the local pool) map onto that
+    worker's lane; the rest (serial) are packed greedily onto virtual
+    slot lanes by start time — the classic interval-partitioning
     assignment, deterministic given the event stream.
     """
     worker_lane: dict[int, int] = {}

@@ -5,7 +5,7 @@ Public API:
 - :func:`expand_grid` / :func:`make_job` — turn (figures × seeds × params)
   into concrete :class:`Job` cells, validated against the
   :class:`~repro.figures.FigureSpec` registry.
-- :func:`run_jobs` — execute jobs across a supervised process pool,
+- :func:`run_jobs` — execute jobs across supervised worker processes,
   serving repeats from a :class:`ResultCache`, returning a
   :class:`SweepResult` (rows per job + a :class:`RunManifest`); supports
   per-job timeouts, bounded deterministic retries, incremental manifest
@@ -16,9 +16,9 @@ Public API:
 - :class:`RunManifest` / :class:`JobRecord` — the JSON run manifest
   (schema :data:`MANIFEST_SCHEMA`, with per-job ``status``).
 - :class:`ExecutorBackend` + :func:`resolve_backend` — pluggable
-  executors (:class:`SerialBackend`, :class:`LocalPoolBackend`,
-  :class:`SubprocessWorkerBackend`); specs like ``"subprocess:2"`` come
-  from ``--backend`` / the ``REPRO_BACKEND`` env var.
+  executors (:class:`SerialBackend`, :class:`LocalPoolBackend`); specs
+  like ``"local-pool:2"`` come from ``--backend`` / the ``REPRO_BACKEND``
+  env var.
 - :func:`shard_jobs` — deterministic round-robin split of a job list
   (or lazy :class:`JobGrid`) across distributed participants.
 - :class:`LazyRows` / :func:`write_row_chunks` — disk-backed streaming
@@ -48,7 +48,6 @@ from .backends import (
     ExecutorBackend,
     LocalPoolBackend,
     SerialBackend,
-    SubprocessWorkerBackend,
     parse_backend_spec,
     resolve_backend,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "SerialBackend",
-    "SubprocessWorkerBackend",
     "SweepResult",
     "cache_key",
     "ensure_writable_dir",

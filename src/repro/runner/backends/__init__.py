@@ -3,17 +3,14 @@
 The engine (:func:`repro.runner.run_jobs`) is backend-agnostic: it
 expands grids, serves cache hits, writes manifests/checkpoints/status —
 and hands the pending tasks to an :class:`ExecutorBackend` to actually
-run.  Three backends ship today:
+run.  Two backends ship:
 
-- :class:`SerialBackend` — in-process, deterministic, pool-free;
-- :class:`LocalPoolBackend` — the supervised ``ProcessPoolExecutor``
-  with quarantine-based guilt attribution (the former default path);
-- :class:`SubprocessWorkerBackend` — ``repro worker`` children over a
-  stdio JSON protocol, the stepping stone to multi-host sweeps.
+- :class:`SerialBackend` — in-process, deterministic, no worker processes;
+- :class:`LocalPoolBackend` — forked single-job worker processes, each
+  on its own pipe, so a dead or hung worker convicts only its own job.
 
-All three honor one contract (retries, timeouts, heartbeat events,
-uncharged bystanders), enforced by
-``tests/runner/test_backend_conformance.py``.
+Both honor one contract (retries, timeouts, heartbeat events), enforced
+by ``tests/runner/test_backend_conformance.py``.
 """
 
 from .base import (
@@ -26,7 +23,6 @@ from .base import (
 )
 from .local_pool import LocalPoolBackend
 from .serial import SerialBackend
-from .subprocess_worker import SubprocessWorkerBackend
 
 __all__ = [
     "BACKEND_AUTO",
@@ -34,7 +30,6 @@ __all__ = [
     "ExecutorBackend",
     "LocalPoolBackend",
     "SerialBackend",
-    "SubprocessWorkerBackend",
     "charge_failure",
     "parse_backend_spec",
     "resolve_backend",

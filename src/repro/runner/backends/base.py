@@ -20,20 +20,15 @@ must honor — enforced by ``tests/runner/test_backend_conformance.py``:
   ``chaos.runner.retries`` obs counter, with ``on_event("retry", task)``
   fired — and the retry reruns the *identical* payload;
 - ``on_event("start", task)`` fires before every execution attempt;
-- innocent bystanders of a sibling's crash or timeout are rerun without
-  being charged an attempt.
+- a sibling's crash or timeout never charges, reruns, or disturbs an
+  innocent job.
 
 Backend specs (CLI ``--backend`` / env ``REPRO_BACKEND``) are
 ``name[:workers]``::
 
-    serial            # in-process, deterministic, no pool
-    local-pool        # supervised ProcessPoolExecutor (default)
+    serial            # in-process, deterministic, no worker processes
+    local-pool        # forked single-job workers, one per CPU
     local-pool:8      # ... with an explicit worker count
-    subprocess:2      # 2 'repro worker' children over stdio
-
-``subprocess`` is the stepping stone to multi-host execution: the parent
-speaks a line-oriented JSON job protocol that works unchanged over an
-SSH pipe, and workers share the content-addressed result store.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from ..supervisor import (
 #: Environment variable supplying the default backend spec.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Spec name resolved by the engine's legacy heuristic (inline for tiny
+#: Spec name resolved by the engine's own heuristic (serial for tiny
 #: sweeps without timeouts, the local pool otherwise).
 BACKEND_AUTO = "auto"
 
@@ -81,8 +76,9 @@ class ExecutorBackend(Protocol):
         attempt), ``"retry"`` (``info={"delay_s": ...}``) and
         ``"attempt_end"`` (``info={"outcome", "wall_s", "error"}``) —
         both via :func:`charge_failure` — plus ``"attempt_end"`` with
-        ``outcome="preempted"`` for uncharged bystander reruns.  The
-        subprocess backend additionally emits worker-lifecycle events
+        ``outcome="preempted"`` for an uncharged re-dispatch.  The local
+        pool additionally tags ``"start"`` with ``info={"worker": id}``
+        and emits worker-lifecycle events
         (``"worker_spawn"``/``"worker_ready"``/``"worker_dead"``) with
         ``task=None``.
         """
@@ -97,21 +93,16 @@ def charge_failure(
     finish: Callable[..., None],
     on_event: Callable[..., None] | None,
     reschedule: Callable[[Task, float], None],
-    *,
-    release: Callable[[Task], None] | None = None,
 ) -> None:
     """Shared retry bookkeeping: reschedule with backoff, or finalize.
 
-    Exactly the discipline :mod:`repro.runner.supervisor` established —
-    increment the retry counter, fire ``on_event("retry")``, and hand the
-    backend a backend-specific ``reschedule(task, delay_s)`` — extracted
-    so Serial/Subprocess backends cannot drift from the local pool.
+    Increment the retry counter, fire ``on_event("retry")``, and hand
+    the backend a backend-specific ``reschedule(task, delay_s)`` — one
+    implementation, so the backends cannot drift apart.
 
     Every charged attempt closes with ``on_event("attempt_end", task,
     {...})`` carrying the outcome, so the sweep trace sees failed and
-    timed-out attempts exactly like successful ones.  ``release`` is a
-    backend hook invoked just before a task is finalized (the local pool
-    lifts its quarantine there).
+    timed-out attempts exactly like successful ones.
     """
     if on_event is not None:
         on_event(
@@ -132,8 +123,6 @@ def charge_failure(
             on_event("retry", task, {"delay_s": delay_s})
         reschedule(task, delay_s)
         return
-    if release is not None:
-        release(task)
     result["status"] = status
     result["attempts"] = task.attempts
     finish(task.index, result)
@@ -147,7 +136,7 @@ def parse_backend_spec(spec: str) -> tuple[str, int | None]:
     if not name:
         raise ValueError(
             f"empty backend spec {spec!r}; expected NAME[:WORKERS], e.g. "
-            f"'serial', 'local-pool', 'subprocess:2'"
+            f"'serial', 'local-pool', 'local-pool:2'"
         )
     if not workers_text:
         return name, None
@@ -156,7 +145,7 @@ def parse_backend_spec(spec: str) -> tuple[str, int | None]:
     except ValueError:
         raise ValueError(
             f"bad worker count {workers_text!r} in backend spec {spec!r}; "
-            f"expected NAME[:WORKERS], e.g. 'subprocess:2'"
+            f"expected NAME[:WORKERS], e.g. 'local-pool:2'"
         ) from None
     if workers < 1:
         raise ValueError(
@@ -176,7 +165,7 @@ def resolve_backend(
     ``spec`` may already be an :class:`ExecutorBackend` instance (passed
     through unchanged), a spec string, or ``None`` — in which case the
     environment is consulted and, failing that, ``None`` is returned so
-    the engine applies its legacy auto heuristic.  ``workers`` is the
+    the engine applies its auto heuristic.  ``workers`` is the
     engine's ``--jobs`` value; an explicit ``:N`` in the spec wins.
     """
     if spec is not None and not isinstance(spec, str):
@@ -197,11 +186,7 @@ def resolve_backend(
         from .local_pool import LocalPoolBackend
 
         return LocalPoolBackend(workers=count)
-    if name in ("subprocess", "subprocess-worker", "worker"):
-        from .subprocess_worker import SubprocessWorkerBackend
-
-        return SubprocessWorkerBackend(workers=count or 2)
     raise ValueError(
-        f"unknown backend {name!r}; available: serial, local-pool[:N], "
-        f"subprocess[:N] (or 'auto')"
+        f"unknown backend {name!r}; available: serial, local-pool[:N] "
+        f"(or 'auto')"
     )

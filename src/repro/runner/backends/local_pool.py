@@ -1,11 +1,28 @@
-"""The supervised ``ProcessPoolExecutor`` backend (single host).
+"""The process backend: forked single-job workers, one pipe each.
 
-This is PR-4's supervision loop, extracted verbatim from
-``repro.runner.supervisor`` behind the :class:`ExecutorBackend`
-interface: crash isolation through ``guard``, broken-pool detection with
-quarantine-based guilt attribution, per-job timeouts via pool teardown
-with uncharged bystander resubmission, and deterministic retry backoff.
-See :mod:`repro.runner.supervisor` for the attribution rationale.
+``LocalPoolBackend`` forks ``min(workers, runnable)`` children — with
+the ``fork`` start method where available, so they inherit the parent's
+figure registry, including specs registered at runtime by tests or
+plugins.  Each child owns one :func:`multiprocessing.Pipe` and runs one
+job at a time through :func:`~repro.runner.supervisor.guard`, which turns
+a raising figure into a failure dict *inside* the child.  The parent
+waits on every pipe and process sentinel at once with
+:func:`multiprocessing.connection.wait` — no helper threads — so fault
+attribution is direct:
+
+- a child that dies mid-job convicts that job: it was the only job the
+  child held, so there is no one else to suspect, and siblings keep
+  running undisturbed;
+- a job past ``RetryPolicy.timeout_s`` has its child killed; siblings
+  keep running;
+- failed attempts are retried through
+  :func:`~repro.runner.backends.base.charge_failure`, like every backend.
+
+Two deaths are *not* a job's fault: a child found dead when a job is
+written to its pipe (the job is re-dispatched uncharged), and a child
+that dies idle.  Each counts as a strike against a child that never
+finished a job; :data:`_MAX_SPAWN_STRIKES` in a row abort the sweep
+rather than respawn forever.
 """
 
 from __future__ import annotations
@@ -15,13 +32,9 @@ import itertools
 import multiprocessing
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Sequence
 
 from ..supervisor import (
@@ -33,43 +46,56 @@ from ..supervisor import (
 )
 from .base import charge_failure
 
+#: Consecutive deaths of never-productive children, each one no job
+#: explains, that abort the sweep instead of respawning forever.
+_MAX_SPAWN_STRIKES = 5
+
+#: Grace period for an idle child to exit after its shutdown message.
+_SHUTDOWN_GRACE_S = 2.0
+
 
 def _fork_context():
-    """Prefer the ``fork`` start method where available.
-
-    Forked workers inherit the parent's figure registry (including specs
-    registered at runtime, e.g. by tests or plugins), matching the
-    semantics of the PR-1 ``multiprocessing.Pool`` path.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
+    """The ``fork`` context where available, else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
-    return None
+    return multiprocessing.get_context()
 
 
-def _terminate(executor: ProcessPoolExecutor) -> None:
-    """Shut an executor down *now*, killing any still-running workers."""
-    processes = list(getattr(executor, "_processes", {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=2.0)
+def _child_main(
+    conn: Connection,
+    inherited: Sequence[Connection],
+    compute: Callable[[Any], tuple[int, dict]],
+) -> None:
+    """Worker loop: run each payload received on ``conn`` through ``guard``.
+
+    ``inherited`` are parent-side pipe ends this child got a copy of by
+    forking; closing them lets every child see EOF once the parent goes.
+    ``None`` (or EOF) ends the loop.
+    """
+    for other in inherited:
+        other.close()
+    try:
+        while True:
+            payload = conn.recv()
+            if payload is None:
+                return
+            conn.send(guard(compute, payload))
+    except (EOFError, KeyboardInterrupt):
+        return
+
+
+@dataclass(eq=False)
+class _Child:
+    id: int
+    proc: BaseProcess
+    conn: Connection
+    task: Task | None = None
+    #: Jobs this child has finished (strike accounting).
+    completed: int = 0
 
 
 class LocalPoolBackend:
-    """Supervised process-pool execution on the local host.
-
-    **Attribution on worker death:** a dead worker breaks every in-flight
-    future, so the guilty job cannot be told apart from bystanders in the
-    moment.  All suspects are *quarantined*: rerun one at a time, with
-    exclusive use of the pool, and without being charged an attempt.  A
-    quarantined job that breaks the pool alone is guilty beyond doubt and
-    charged; one that completes is released.  This terminates — every
-    pool break either charges exactly one job (bounded by the retry
-    budget) or shrinks the set of unquarantined jobs.
-    """
+    """Execute tasks on forked single-job children (see module docstring)."""
 
     name = "local-pool"
 
@@ -84,15 +110,39 @@ class LocalPoolBackend:
         finish: Callable[[int, dict], None],
         on_event: Callable[..., None] | None = None,
     ) -> None:
-        workers = self.workers
-        queue: list[Task] = list(tasks)
+        context = _fork_context()
+        pending: list[Task] = list(tasks)
         sleeping: list[tuple[float, int, Task]] = []  # (due, tiebreak, task)
-        inflight: dict[Future, Task] = {}
-        quarantined: set[int] = set()  # task indices under solo suspicion
         tick = itertools.count()
-        executor = ProcessPoolExecutor(
-            max_workers=workers, mp_context=_fork_context()
-        )
+        ids = itertools.count()
+        children: dict[int, _Child] = {}
+        strikes = 0
+
+        def emit(kind: str, **info: Any) -> None:
+            if on_event is not None:
+                on_event(kind, None, info)
+
+        def spawn() -> None:
+            conn, child_end = context.Pipe()
+            inherited = [conn] + [c.conn for c in children.values()]
+            proc = context.Process(
+                target=_child_main, args=(child_end, inherited, compute)
+            )
+            proc.start()
+            child_end.close()
+            child = _Child(id=next(ids), proc=proc, conn=conn)
+            children[child.id] = child
+            emit("worker_spawn", worker=child.id, pid=proc.pid)
+            emit("worker_ready", worker=child.id)
+
+        def reap(child: _Child, grace_s: float = 0.0) -> None:
+            del children[child.id]
+            child.conn.close()
+            child.proc.join(grace_s)
+            if child.proc.exitcode is None:
+                child.proc.kill()
+                child.proc.join()
+            child.proc.close()
 
         def reschedule(task: Task, delay_s: float) -> None:
             heapq.heappush(
@@ -100,157 +150,149 @@ class LocalPoolBackend:
             )
 
         def fail(task: Task, result: dict, status: str) -> None:
-            """Charge a failed attempt: reschedule or finalize the task."""
             result.setdefault(
                 "wall_time_s", time.monotonic() - task.started_at
             )
             charge_failure(
-                task, result, status, policy, finish, on_event, reschedule,
-                release=lambda t: quarantined.discard(t.index),
+                task, result, status, policy, finish, on_event, reschedule
             )
 
-        def preempted(task: Task) -> None:
-            """Close the attempt trace of an uncharged bystander rerun."""
-            if on_event is not None:
-                on_event(
-                    "attempt_end",
+        def lost(child: _Child, reason: str) -> None:
+            """``child`` died: convict its job, or strike if it had none."""
+            nonlocal strikes
+            task, child.task = child.task, None
+            if task is not None:
+                fail(
                     task,
-                    {
-                        "outcome": "preempted",
-                        "wall_s": time.monotonic() - task.started_at,
-                    },
+                    {"error": "worker process died before returning a "
+                              "result (killed, crashed, or exited)"},
+                    STATUS_FAILED,
                 )
+            elif child.completed == 0:
+                strikes += 1
+                if strikes >= _MAX_SPAWN_STRIKES:
+                    raise RuntimeError(
+                        "worker processes keep dying before completing a "
+                        "job; check stderr for the cause"
+                    )
+            emit("worker_dead", worker=child.id, reason=reason)
+            reap(child)
 
-        def submit(task: Task, charged: bool = True) -> None:
-            if charged:
-                task.attempts += 1
+        def dispatch(child: _Child, task: Task) -> None:
+            task.attempts += 1
             task.started_at = time.monotonic()
             if on_event is not None:
-                on_event("start", task)
-            inflight[executor.submit(guard, compute, task.payload)] = task
+                on_event("start", task, {"worker": child.id})
+            try:
+                child.conn.send(task.payload)
+            except OSError:
+                # The child died while idle — not this task's doing.
+                # Uncharge it and let the loop respawn.
+                if on_event is not None:
+                    on_event("attempt_end", task, {"outcome": "preempted"})
+                task.attempts -= 1
+                pending.insert(0, task)
+                lost(child, "dead pipe")
+                return
+            child.task = task
 
-        def rebuild_pool() -> None:
-            nonlocal executor
-            _terminate(executor)
-            executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=_fork_context()
-            )
+        def settle(child: _Child) -> None:
+            """Collect a finished result from ``child``, or bury it."""
+            nonlocal strikes
+            task = child.task
+            if task is not None and child.conn.poll():
+                try:
+                    index, result = child.conn.recv()
+                except (EOFError, OSError):
+                    lost(child, "process exit")
+                    return
+                child.task = None
+                child.completed += 1
+                strikes = 0
+                if "error" in result:
+                    fail(task, result, STATUS_FAILED)
+                else:
+                    result["attempts"] = task.attempts
+                    finish(index, result)
+            if child.proc.exitcode is not None:
+                lost(child, "process exit")
 
         try:
-            while queue or sleeping or inflight:
+            while pending or sleeping or any(
+                c.task is not None for c in children.values()
+            ):
                 now = time.monotonic()
                 while sleeping and sleeping[0][0] <= now:
-                    queue.append(heapq.heappop(sleeping)[2])
+                    pending.append(heapq.heappop(sleeping)[2])
 
-                # Submission, under the quarantine discipline: a
-                # quarantined task only runs alone, and nothing joins it
-                # mid-flight.
-                solo = any(t.index in quarantined for t in inflight.values())
-                if not solo:
-                    ready = [t for t in queue if t.index in quarantined]
-                    if ready:
-                        if not inflight:
-                            task = ready[0]
-                            queue.remove(task)
-                            submit(task)
-                        # else: drain the pool before the suspect runs solo.
-                    else:
-                        while queue and len(inflight) < workers:
-                            submit(queue.pop(0))
+                busy = sum(c.task is not None for c in children.values())
+                while len(children) < min(self.workers, len(pending) + busy):
+                    spawn()
+                for child in list(children.values()):
+                    if pending and child.task is None:
+                        dispatch(child, pending.pop(0))
 
-                if not inflight:
-                    # Every task is in backoff: sleep until the first is
+                busy_children = [
+                    c for c in children.values() if c.task is not None
+                ]
+                if not busy_children:
+                    if pending:
+                        continue  # a pipe died mid-dispatch; respawn
+                    # Everything is in backoff: sleep until the first is
                     # due.
                     time.sleep(max(sleeping[0][0] - time.monotonic(), 0.0))
                     continue
 
                 wait_s: float | None = None
                 if policy.timeout_s is not None:
-                    deadlines = [
-                        t.started_at + policy.timeout_s - now
-                        for t in inflight.values()
-                    ]
-                    wait_s = max(min(deadlines), 0.01)
+                    oldest = min(c.task.started_at for c in busy_children)
+                    wait_s = max(oldest + policy.timeout_s - now, 0.01)
                 if sleeping:
                     until_due = max(sleeping[0][0] - now, 0.01)
                     wait_s = (
                         until_due if wait_s is None else min(wait_s, until_due)
                     )
-                done, _ = wait(
-                    inflight, timeout=wait_s, return_when=FIRST_COMPLETED
-                )
-
-                suspects: list[Task] = []
-                for future in done:
-                    task = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        index, result = future.result()
-                        if "error" in result:
-                            fail(task, result, STATUS_FAILED)
-                        else:
-                            quarantined.discard(task.index)
-                            result["attempts"] = task.attempts
-                            finish(index, result)
-                    elif isinstance(exc, BrokenProcessPool):
-                        suspects.append(task)
-                    else:
-                        fail(
-                            task,
-                            {"error": f"{type(exc).__name__}: {exc}"},
-                            STATUS_FAILED,
-                        )
-
-                if suspects:
-                    # The pool broke: every remaining in-flight future is
-                    # doomed too.  One suspect → guilty, charge it.
-                    # Several → quarantine them all, uncharged, for solo
-                    # reruns.
-                    suspects.extend(inflight.values())
-                    inflight.clear()
-                    if len(suspects) == 1:
-                        quarantined.add(suspects[0].index)
-                        fail(
-                            suspects[0],
-                            {"error": "worker process died before returning "
-                                      "a result (killed, crashed, or "
-                                      "exited)"},
-                            STATUS_FAILED,
-                        )
-                    else:
-                        for task in suspects:
-                            preempted(task)
-                            task.attempts -= 1
-                            quarantined.add(task.index)
-                            queue.append(task)
-                    rebuild_pool()
-                    continue
+                owners: dict[Any, _Child] = {
+                    c.proc.sentinel: c for c in children.values()
+                }
+                owners.update((c.conn, c) for c in busy_children)
+                for ready in wait(list(owners), timeout=wait_s):
+                    child = owners[ready]
+                    if child.id in children:
+                        settle(child)
 
                 if policy.timeout_s is not None:
                     now = time.monotonic()
-                    timed_out = [
-                        (future, task)
-                        for future, task in inflight.items()
-                        if now - task.started_at >= policy.timeout_s
-                    ]
-                    if timed_out:
-                        # A hung worker cannot be killed selectively: tear
-                        # the pool down, charge the timed-out jobs, and
-                        # resubmit the in-flight bystanders without
-                        # charging them.
-                        for future, task in timed_out:
-                            del inflight[future]
-                            fail(
-                                task,
-                                {"error": f"job exceeded timeout of "
-                                          f"{policy.timeout_s:g}s"},
-                                STATUS_TIMEOUT,
-                            )
-                        for task in inflight.values():
-                            preempted(task)
-                            task.attempts -= 1
-                            queue.append(task)
-                        inflight.clear()
-                        rebuild_pool()
+                    for child in list(children.values()):
+                        task = child.task
+                        if (
+                            task is None
+                            or now - task.started_at < policy.timeout_s
+                        ):
+                            continue
+                        # Only the offender's child is killed; siblings
+                        # keep running.
+                        child.task = None
+                        emit(
+                            "worker_dead", worker=child.id,
+                            reason="timeout kill",
+                        )
+                        reap(child)
+                        fail(
+                            task,
+                            {"error": f"job exceeded timeout of "
+                                      f"{policy.timeout_s:g}s"},
+                            STATUS_TIMEOUT,
+                        )
         finally:
-            _terminate(executor)
+            for child in list(children.values()):
+                if child.task is None:
+                    try:
+                        child.conn.send(None)
+                    except OSError:
+                        pass
+            for child in list(children.values()):
+                reap(
+                    child,
+                    grace_s=_SHUTDOWN_GRACE_S if child.task is None else 0.0,
+                )

@@ -9,9 +9,9 @@ measures the others against.
 Timeouts are enforced *post hoc*: a frame cannot kill itself, so a task
 that exceeds ``RetryPolicy.timeout_s`` runs to completion, has its
 result discarded, and is recorded (and retried/charged) exactly as a
-pool timeout would be — same ``"timeout"`` status, same backoff, same
-heartbeat events.  Preemptive enforcement needs process isolation; pick
-``local-pool`` or ``subprocess`` for hung-job protection.
+local-pool timeout would be — same ``"timeout"`` status, same backoff,
+same heartbeat events.  Preemptive enforcement needs process isolation;
+pick ``local-pool`` for hung-job protection.
 """
 
 from __future__ import annotations

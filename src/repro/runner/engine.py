@@ -1,8 +1,8 @@
 """The parallel experiment engine.
 
 Expands a (figure × seed × param-grid) request into :class:`Job` cells,
-fans the uncached cells out over a supervised
-:class:`~concurrent.futures.ProcessPoolExecutor`, and returns a
+fans the uncached cells out over an executor backend (forked worker
+processes by default, see :mod:`repro.runner.backends`), and returns a
 :class:`SweepResult` pairing each job's :class:`~repro.figures.Rows` with a
 :class:`~repro.runner.manifest.RunManifest` of cache and timing counters.
 
@@ -307,10 +307,10 @@ def _compute(
 ):
     """Worker: run one figure job and return (index, result dict).
 
-    Runs inside whatever executor backend the sweep chose — a forked pool
-    worker, a ``repro worker`` subprocess, or the supervising process
-    itself.  When the payload carries a stream root, the rows are written
-    as content-addressed JSONL chunks (see :mod:`.rowstream`) and the
+    Runs inside whatever executor backend the sweep chose — a forked
+    local-pool worker or the supervising process itself.  When the
+    payload carries a stream root, the rows are written as
+    content-addressed JSONL chunks (see :mod:`.rowstream`) and the
     result references them (``row_chunks``/``rows_count``) instead of
     carrying the rows inline — the supervising process never holds them.
 
@@ -436,8 +436,8 @@ def run_jobs(
     it is consumed exactly once.
 
     **Executor backends:** ``backend`` selects how pending cells execute
-    — a spec string (``"serial"``, ``"local-pool[:N]"``,
-    ``"subprocess:N"``), an :class:`ExecutorBackend` instance, or
+    — a spec string (``"serial"``, ``"local-pool[:N]"``), an
+    :class:`ExecutorBackend` instance, or
     ``None``/"auto", which consults the ``REPRO_BACKEND`` environment
     variable and otherwise picks for itself: ``workers`` <= 1 (or a
     single pending job) runs serially in-process, which keeps single-job

@@ -128,9 +128,9 @@ class JobRecord:
     telemetry: dict[str, Any] | None = None
     #: Full ``.telemetry.json`` snapshot written for this job.
     telemetry_path: str | None = None
-    #: Executor backend that computed the job (PR-8: "serial",
-    #: "local-pool", "subprocess"; ``None`` for cache hits and pre-PR-8
-    #: manifests).
+    #: Executor backend that computed the job ("serial" or "local-pool";
+    #: older manifests may also name "subprocess").  ``None`` for cache
+    #: hits and for manifests that predate the field.
     backend: str | None = None
     #: Chunked JSONL row files when the sweep streamed rows to disk
     #: (see :mod:`repro.runner.rowstream`); ``None`` for in-memory runs.

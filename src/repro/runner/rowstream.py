@@ -5,7 +5,8 @@ process, so a sweep's peak RSS grew with (cells × rows-per-cell) — fine
 for five figures, fatal for a million-cell grid.  This module is the
 disk-backed alternative the executor backends share:
 
-- **Writers** (pool workers, ``repro worker`` subprocesses) split a job's
+- **Writers** (forked local-pool workers, or the supervising process on
+  the serial backend) split a job's
   rows into chunks of :data:`DEFAULT_CHUNK_ROWS` JSON lines and write
   them *content-addressed* — ``<root>/<key[:2]>/<key>.rows-00000.jsonl``,
   the same two-level fan-out and the same SHA-256 job key as

@@ -1,24 +1,17 @@
 """Supervised job execution: crash isolation, timeouts, bounded retries.
 
-The PR-1 engine dispatched jobs over a bare ``multiprocessing.Pool``: one
-raising figure, one hung worker, or one OOM-killed process aborted the
-whole sweep with no manifest and no way to resume.  This module is the
-supervision layer underneath :func:`repro.runner.run_jobs` that turns
-those events into *data* instead of aborts:
+This is the vocabulary every executor backend
+(:mod:`repro.runner.backends`) shares underneath
+:func:`repro.runner.run_jobs`.  Together they turn the events that would
+otherwise abort a sweep into *data*:
 
 - a worker exception becomes a structured failure result (error string +
-  traceback) and the sweep continues;
-- a worker that dies outright (``os._exit``, OOM kill, segfault) is
-  detected through the broken-pool machinery of
-  :class:`concurrent.futures.ProcessPoolExecutor` and the pool is
-  rebuilt.  A dead worker breaks *every* in-flight future, so when more
-  than one job was in flight the suspects are **quarantined**: rerun one
-  at a time (uncharged) until the guilty job breaks the pool alone and
-  can be charged precisely — innocent bystanders never lose an attempt
-  to a sibling's crash;
-- a job that exceeds ``RetryPolicy.timeout_s`` has its worker terminated
-  and is recorded with status ``"timeout"``; in-flight bystanders are
-  resubmitted without being charged an attempt;
+  traceback) through :func:`guard`, and the sweep continues;
+- a worker process that dies outright (``os._exit``, OOM kill, segfault)
+  convicts the one job it was running — each worker holds a single job,
+  so no innocent sibling is charged, rerun, or disturbed;
+- a job that exceeds ``RetryPolicy.timeout_s`` has its worker killed and
+  is recorded with status ``"timeout"``;
 - every failed attempt with retry budget left is rescheduled after a
   *deterministic* exponential backoff (seeded jitter, no wall-clock
   randomness) and counted on the ``chaos.runner.retries`` obs counter.
@@ -26,16 +19,6 @@ those events into *data* instead of aborts:
 Retries rerun the identical payload — same figure, same seed, same
 params — so backoff can never perturb simulation results; only wall
 time and the ``attempts`` field change.
-
-As of PR-8 the execution loops live behind the
-:class:`~repro.runner.backends.ExecutorBackend` interface
-(:mod:`repro.runner.backends`): the supervised pool loop moved verbatim
-to :class:`~repro.runner.backends.LocalPoolBackend`, sequential
-execution to :class:`~repro.runner.backends.SerialBackend`.  This module
-keeps the vocabulary every backend shares — statuses,
-:class:`RetryPolicy`, :class:`Task`, :func:`guard` — plus
-:func:`run_inline`/:func:`run_supervised` as thin compatibility
-delegates.
 """
 
 from __future__ import annotations
@@ -44,7 +27,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 #: Obs counter incremented (with a ``figure`` label) on every retry.
 RETRIES_COUNTER = "chaos.runner.retries"
@@ -96,8 +79,8 @@ class Task:
     payload: Any
     key: str
     figure: str
-    #: Attempts charged against the retry budget (uncharged reruns after
-    #: a sibling broke the pool are not counted).
+    #: Attempts charged against the retry budget (an uncharged
+    #: re-dispatch after a worker died idle is not counted).
     attempts: int = 0
     started_at: float = field(default=0.0, repr=False)
 
@@ -105,10 +88,10 @@ class Task:
 def guard(compute: Callable[[Any], tuple[int, dict]], payload: Any):
     """Run ``compute`` in a worker, converting exceptions to failure dicts.
 
-    Keeping the try/except *inside* the worker means a future that raises
-    can only mean the worker process itself died — which is exactly the
-    classification the supervisor needs.  ``KeyboardInterrupt`` is
-    re-raised so Ctrl-C still tears the pool down promptly.
+    Keeping the try/except *inside* the worker means a worker that never
+    answers can only mean the worker process itself died — which is
+    exactly the classification the supervisor needs.  ``KeyboardInterrupt`` is
+    re-raised so Ctrl-C still stops the workers promptly.
     """
     start = time.perf_counter()
     try:
@@ -122,57 +105,3 @@ def guard(compute: Callable[[Any], tuple[int, dict]], payload: Any):
             "wall_time_s": time.perf_counter() - start,
         }
 
-
-def run_inline(
-    tasks: Sequence[Task],
-    compute: Callable[[Any], tuple[int, dict]],
-    policy: RetryPolicy,
-    finish: Callable[[int, dict], None],
-    on_event: Callable[[str, Task], None] | None = None,
-) -> None:
-    """Sequential in-process execution (compatibility delegate).
-
-    Now a thin wrapper over
-    :class:`~repro.runner.backends.SerialBackend`; used for
-    single-worker / single-job sweeps where pool overhead is not worth
-    paying.  Exceptions are isolated and retried exactly like the pool
-    path.  Timeouts are enforced *post hoc* (the attempt runs to
-    completion, then is recorded as a timeout) — preemptive enforcement
-    needs process isolation, i.e. :func:`run_supervised`.
-
-    ``on_event`` (shared with :func:`run_supervised`) receives
-    ``("start", task)`` before every execution and ``("retry", task)``
-    when a failed attempt is rescheduled — the hook live sweep telemetry
-    (:class:`repro.obs.status.SweepStatus`) hangs off.  It runs in the
-    supervising process only and never touches job payloads or results.
-    """
-    from .backends.serial import SerialBackend
-
-    SerialBackend().run(tasks, compute, policy, finish, on_event=on_event)
-
-
-def run_supervised(
-    tasks: Sequence[Task],
-    compute: Callable[[Any], tuple[int, dict]],
-    workers: int,
-    policy: RetryPolicy,
-    finish: Callable[[int, dict], None],
-    on_event: Callable[[str, Task], None] | None = None,
-) -> None:
-    """Run ``tasks`` over a supervised pool (compatibility delegate).
-
-    Now a thin wrapper over
-    :class:`~repro.runner.backends.LocalPoolBackend`, which carries the
-    supervision loop — broken-pool detection, quarantine-based guilt
-    attribution, timeout teardown with uncharged bystander resubmission —
-    unchanged.  Calls ``finish(index, result)`` exactly once per task, in
-    completion order; ``result`` is either the worker's success dict or a
-    failure dict carrying ``status`` (``"failed"``/``"timeout"``),
-    ``error``, ``traceback`` (when available), ``wall_time_s``, and
-    ``attempts``.
-    """
-    from .backends.local_pool import LocalPoolBackend
-
-    LocalPoolBackend(workers=workers).run(
-        tasks, compute, policy, finish, on_event=on_event
-    )

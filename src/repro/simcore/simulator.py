@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import warnings
 from typing import Any, Callable, Generator, Iterable
 
 from ..obs import runtime as _obs
@@ -44,15 +43,6 @@ from .events import (
 )
 from .rng import RandomStreams
 from .stats import SimStats, _register
-
-_LEGACY_SCHEDULE_MSG = (
-    "Simulator.schedule(delay, callback) is deprecated; use "
-    "sim.schedule(callback, after=delay, priority=...) instead"
-)
-_LEGACY_SCHEDULE_AT_MSG = (
-    "Simulator.schedule_at(time, callback) is deprecated; use "
-    "sim.schedule(callback, at=time, priority=...) instead"
-)
 
 
 def obs_trace_sink(time_ns: int, message: str) -> None:
@@ -178,8 +168,8 @@ def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
     ``Simulator.__init__`` binds the result as an *instance* attribute when
     the default backend is in use, shadowing the generic method and
     removing one call boundary from the hottest path in the repo.  The
-    semantics — argument validation, deprecation shims, stats accounting,
-    and insertion order — are identical to :meth:`Simulator.schedule`
+    semantics — argument validation, stats accounting, and insertion
+    order — are identical to :meth:`Simulator.schedule`
     followed by :meth:`CalendarQueue.push`; the scheduler-equivalence
     property suite drives both forms.
     """
@@ -190,15 +180,12 @@ def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
     stats = sim.stats
 
     def schedule(
-        target: Callable[[], Any] | int,
-        *legacy: Any,
+        target: Callable[[], Any],
+        *,
         after: int | None = None,
         at: int | None = None,
         priority: int = PRIORITY_NORMAL,
-        callback: Callable[[], Any] | None = None,
     ) -> Event:
-        if legacy or callback is not None or not callable(target):
-            return sim._schedule_legacy(target, legacy, priority, callback)
         now = sim._now
         if after is not None:
             if at is not None:
@@ -305,12 +292,11 @@ class Simulator:
 
     def schedule(
         self,
-        target: Callable[[], Any] | int,
-        *legacy: Any,
+        target: Callable[[], Any],
+        *,
         after: int | None = None,
         at: int | None = None,
         priority: int = PRIORITY_NORMAL,
-        callback: Callable[[], Any] | None = None,
     ) -> Event:
         """Schedule ``target`` (a zero-argument callable) and return its event.
 
@@ -324,11 +310,9 @@ class Simulator:
             sim.schedule(fn, at=deadline_ns)     # absolute
             sim.schedule(fn, after=0, priority=PRIORITY_HIGH)
 
-        The pre-redesign positional form ``sim.schedule(delay, fn)`` still
-        works but emits a :class:`DeprecationWarning`.
+        The timing arguments are keyword-only: the positional form
+        ``sim.schedule(delay, fn)`` raises :class:`TypeError`.
         """
-        if legacy or callback is not None or not callable(target):
-            return self._schedule_legacy(target, legacy, priority, callback)
         if after is not None:
             if at is not None:
                 raise TypeError(
@@ -347,48 +331,6 @@ class Simulator:
             time = self._now
         self.stats.events_scheduled += 1
         return self._push(time, target, priority)
-
-    def _schedule_legacy(
-        self,
-        delay: Any,
-        legacy: tuple[Any, ...],
-        priority: int,
-        callback: Callable[[], Any] | None,
-    ) -> Event:
-        """The deprecated ``schedule(delay, callback[, priority])`` form."""
-        warnings.warn(_LEGACY_SCHEDULE_MSG, DeprecationWarning, stacklevel=3)
-        if callback is None:
-            if not legacy:
-                raise TypeError("schedule() is missing a callback")
-            callback = legacy[0]
-        if len(legacy) > 1:
-            priority = legacy[1]
-        if not isinstance(delay, int):
-            raise TypeError(
-                f"schedule() expected a callable or an int delay, "
-                f"got {delay!r}"
-            )
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.stats.events_scheduled += 1
-        return self._push(self._now + delay, callback, priority)
-
-    def schedule_at(
-        self,
-        time: int,
-        callback: Callable[[], Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Deprecated: use ``sim.schedule(callback, at=time)`` instead."""
-        warnings.warn(
-            _LEGACY_SCHEDULE_AT_MSG, DeprecationWarning, stacklevel=2
-        )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self._now}"
-            )
-        self.stats.events_scheduled += 1
-        return self._push(time, callback, priority)
 
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""

@@ -85,27 +85,12 @@ class TestRows:
 
 
 class TestDeprecationShims:
-    def test_figures_alias_warns_and_maps_names(self):
-        with pytest.warns(DeprecationWarning, match="registry"):
-            legacy = figures.FIGURES
-        assert set(legacy) == set(registry())
-        assert all(callable(fn) for fn in legacy.values())
-
-    def test_rows_to_csv_warns_and_matches(self):
-        rows = [{"a": 1, "b": "x"}]
-        with pytest.warns(DeprecationWarning, match="to_csv"):
-            text = figures.rows_to_csv(rows)
-        assert text == Rows(rows).to_csv()
-
-    def test_rows_to_table_warns_and_matches(self):
-        rows = [{"a": 1}]
-        with pytest.warns(DeprecationWarning, match="to_table"):
-            text = figures.rows_to_table(rows)
-        assert text == Rows(rows).to_table()
+    """The retired aliases are gone; module attribute lookups fail loudly."""
 
     def test_unknown_module_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            figures.no_such_name
+        for name in ("no_such_name", "FIGURES", "rows_to_csv", "rows_to_table"):
+            with pytest.raises(AttributeError):
+                getattr(figures, name)
 
 
 class TestCliRedesign:

@@ -7,7 +7,7 @@ Three layers of coverage:
 - live serial sweeps through :func:`repro.runner.run_jobs` with
   ``sweeptrace=`` (event sequence, manifest timing fields, replay
   stability);
-- a live ``subprocess:2`` sweep proving worker-lifecycle events land and
+- a live ``local-pool:2`` sweep proving worker-lifecycle events land and
   the merged Chrome trace correlates engine and child spans by span id.
 """
 
@@ -33,9 +33,9 @@ from repro.obs.sweeptrace import (
     write_merged_chrome,
 )
 from repro.runner import (
+    LocalPoolBackend,
     ResultCache,
     SerialBackend,
-    SubprocessWorkerBackend,
     make_job,
     run_jobs,
 )
@@ -322,6 +322,8 @@ class TestSerialSweepTracing:
 
 
 class TestSubprocessSweepTracing:
+    """Live sweeps whose jobs run in forked local-pool worker processes."""
+
     def test_worker_events_and_merged_chrome(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
@@ -330,9 +332,7 @@ class TestSubprocessSweepTracing:
             result = run_jobs(
                 [make_job("test-steady", seed=s) for s in range(3)],
                 workers=2,
-                backend=SubprocessWorkerBackend(
-                    workers=2, preload=["tests.runner.faulty:install"]
-                ),
+                backend=LocalPoolBackend(workers=2),
                 trace_dir=out / "traces",
                 checkpoint=out / "manifest.json",
                 sweeptrace=events_path,
@@ -345,7 +345,7 @@ class TestSubprocessSweepTracing:
         assert all(e.get("worker") is not None for e in starts)
 
         tl = build_timeline(events)
-        assert tl.backend == "subprocess"
+        assert tl.backend == "local-pool"
         assert tl.worker_tracks  # per-worker tracks reconstructed
         segments = critical_path(tl)
         total = sum(s.dur for s in segments)
@@ -353,7 +353,7 @@ class TestSubprocessSweepTracing:
 
         # The merged Chrome trace correlates engine attempt bars with the
         # child-side runner.job spans by span id — the point of carrying
-        # span context across the worker protocol.
+        # span context into the worker processes.
         merged_path = out / "merged.trace.json"
         count = write_merged_chrome(out, merged_path)
         assert count > 0
@@ -378,10 +378,8 @@ class TestSubprocessSweepTracing:
         with registered(STEADY):
             run_jobs(
                 [make_job("test-steady")],
-                workers=1,
-                backend=SubprocessWorkerBackend(
-                    workers=1, preload=["tests.runner.faulty:install"]
-                ),
+                workers=2,
+                backend=LocalPoolBackend(workers=2),
                 sweeptrace=events_path,
             )
         (end,) = [

@@ -91,11 +91,8 @@ ALL_SPECS = (BOOM, SLEEPY, DIE, FLAKY, STEADY, WIDE)
 def registered(*specs: FigureSpec):
     """Temporarily add ``specs`` to the figure registry.
 
-    Pool workers are forked after registration (the supervisor prefers
-    the ``fork`` start method), so they see the same registry.  Fresh
-    ``repro worker`` subprocesses do NOT inherit it — pass
-    ``preload=["tests.runner.faulty:install"]`` to the subprocess backend
-    so each child re-registers via :func:`install`.
+    Local-pool workers are forked after registration (the backend
+    prefers the ``fork`` start method), so they see the same registry.
     """
     for spec in specs:
         figures._SPECS[spec.name] = spec
@@ -104,37 +101,3 @@ def registered(*specs: FigureSpec):
     finally:
         for spec in specs:
             figures._SPECS.pop(spec.name, None)
-
-
-#: Appended to by :func:`mark_preload`; lets protocol tests observe that
-#: a worker ran its preload hooks before the first job.
-PRELOAD_CALLS: list[str] = []
-
-
-def mark_preload() -> None:
-    """Record that a worker invoked its preload hooks."""
-    PRELOAD_CALLS.append("called")
-
-
-def protocol_compute(payload):
-    """Module-level compute for in-process worker-protocol tests.
-
-    Mirrors the engine contract: ``payload -> (index, result_dict)``,
-    raising when asked so :func:`repro.runner.supervisor.guard` has an
-    exception to convert.
-    """
-    index, value = payload[0], payload[1]
-    if value == "boom":
-        raise ValueError("boom from protocol_compute")
-    return index, {"status": "ok", "echo": value, "payload": repr(payload)}
-
-
-def install() -> None:
-    """Idempotently register every faulty spec (subprocess preload hook).
-
-    Invoked inside ``repro worker`` children via the init message's
-    ``preload`` entries, where :func:`registered`'s fork-inheritance
-    trick cannot reach.
-    """
-    for spec in ALL_SPECS:
-        figures._SPECS[spec.name] = spec

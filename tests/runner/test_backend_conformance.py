@@ -1,14 +1,10 @@
 """Backend-conformance suite: every executor backend, one contract.
 
 Each test runs the same sweep through :func:`repro.runner.run_jobs` on
-every backend (serial, local-pool, subprocess) and asserts identical
-*observable* behavior: statuses, retry accounting, checkpoint/resume
-semantics, and status-heartbeat events.  This is the suite that lets a
-future backend (SSH, work queue) prove itself by passing unchanged.
-
-The subprocess backend's children are fresh processes, so they re-register
-the faulty test figures via the ``tests.runner.faulty:install`` preload
-hook rather than fork inheritance.
+every backend (serial, local-pool) and asserts identical *observable*
+behavior: statuses, retry accounting, checkpoint/resume semantics, and
+status-heartbeat events.  This is the suite that lets a future backend
+(SSH, work queue) prove itself by passing unchanged.
 """
 
 import json
@@ -25,10 +21,10 @@ from repro.runner import (
     LocalPoolBackend,
     ResultCache,
     SerialBackend,
-    SubprocessWorkerBackend,
     make_job,
     run_jobs,
 )
+from repro.obs.sweeptrace import EVENTS_FILENAME, load_events
 
 from .faulty import BOOM, DIE, FLAKY, SLEEPY, STEADY, registered
 
@@ -38,18 +34,13 @@ from .faulty import BOOM, DIE, FLAKY, SLEEPY, STEADY, registered
 BACKENDS = {
     "serial": dict(isolating=False),
     "local-pool": dict(isolating=True),
-    "subprocess": dict(isolating=True),
 }
 
 
 def make_backend(name: str):
     if name == "serial":
         return SerialBackend()
-    if name == "local-pool":
-        return LocalPoolBackend(workers=2)
-    return SubprocessWorkerBackend(
-        workers=2, preload=["tests.runner.faulty:install"]
-    )
+    return LocalPoolBackend(workers=2)
 
 
 def statuses(result):
@@ -205,7 +196,7 @@ class TestProcessIsolation:
 
     The serial backend shares its process with the supervisor, so a
     worker calling ``os._exit`` would kill the whole sweep — these cases
-    are exactly why ``local-pool``/``subprocess`` exist.
+    are exactly why ``local-pool`` exists.
     """
 
     def test_dying_worker_convicted_bystander_survives(self, backend_name):
@@ -233,3 +224,67 @@ class TestProcessIsolation:
         (record,) = result.manifest.records
         assert record.status == STATUS_FAILED
         assert record.attempts == 2
+
+    def test_timeout_kill_leaves_running_sibling_alone(
+        self, backend_name, tmp_path
+    ):
+        # Two workers: the hung job holds one; the other runs two 0.6 s
+        # cells back to back, so the second is mid-flight when the hung
+        # job's 1 s timeout kill lands.
+        events_path = tmp_path / EVENTS_FILENAME
+        with registered(SLEEPY):
+            result = run_jobs(
+                [
+                    make_job("test-sleepy", params={"sleep_s": 30.0}),
+                    make_job("test-sleepy", seed=1, params={"sleep_s": 0.6}),
+                    make_job("test-sleepy", seed=2, params={"sleep_s": 0.6}),
+                ],
+                workers=2, timeout_s=1.0, sweeptrace=events_path,
+                backend=make_backend(backend_name),
+            )
+        hung, first, sibling = result.manifest.records
+        assert hung.status == STATUS_TIMEOUT
+        assert (first.status, sibling.status) == (STATUS_OK, STATUS_OK)
+        assert sibling.attempts == 1
+        events = load_events(events_path)
+        starts = [
+            e for e in events if e["ev"] == "attempt_start" and e["job"] == 2
+        ]
+        assert len(starts) == 1
+        assert not [
+            e for e in events
+            if e["ev"] == "attempt_end" and e.get("outcome") == "preempted"
+        ]
+
+    def test_dying_worker_sibling_is_not_rerun(self, backend_name, tmp_path):
+        events_path = tmp_path / EVENTS_FILENAME
+        with registered(DIE, SLEEPY):
+            result = run_jobs(
+                [
+                    make_job("test-die"),
+                    make_job("test-sleepy", params={"sleep_s": 0.5}),
+                ],
+                workers=2, sweeptrace=events_path,
+                backend=make_backend(backend_name),
+            )
+        assert statuses(result) == {
+            "test-die": STATUS_FAILED, "test-sleepy": STATUS_OK,
+        }
+        starts = [
+            e for e in load_events(events_path)
+            if e["ev"] == "attempt_start" and e["job"] == 1
+        ]
+        assert len(starts) == 1
+
+    def test_dying_jobs_never_abort_the_sweep(self, backend_name):
+        # Each death is its own job's fault and charged to it, so a grid
+        # of crashing cells degrades instead of aborting.
+        with registered(DIE):
+            result = run_jobs(
+                [make_job("test-die", seed=s) for s in range(6)],
+                workers=2, backend=make_backend(backend_name),
+            )
+        assert [r.status for r in result.manifest.records] == [
+            STATUS_FAILED
+        ] * 6
+        assert all(r.attempts == 1 for r in result.manifest.records)

@@ -1,9 +1,9 @@
-"""The redesigned keyword-only scheduling API and its deprecation shims.
+"""The keyword-only scheduling API.
 
 ``sim.schedule(fn, *, after=..., at=..., priority=...)`` is the one
 scheduling entry point; the pre-redesign positional forms
-(``schedule(delay, fn)`` and ``schedule_at(time, fn)``) must keep
-working — warning — until out-of-tree callers migrate.
+(``schedule(delay, fn)`` and ``schedule_at(time, fn)``) are gone and
+fail loudly at the call.
 """
 
 import pytest
@@ -81,50 +81,11 @@ class TestKeywordApi:
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
-class TestDeprecatedShims:
-    def test_legacy_schedule_warns_and_delegates(self):
-        sim = Simulator()
-        fired = []
-        with pytest.warns(DeprecationWarning, match="after=delay"):
-            sim.schedule(3 * US, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [3 * US]
-
-    def test_legacy_schedule_with_positional_priority(self):
-        sim = Simulator()
-        order = []
-        with pytest.warns(DeprecationWarning):
-            sim.schedule(1 * US, lambda: order.append("low"), PRIORITY_LOW)
-            sim.schedule(1 * US, lambda: order.append("high"), PRIORITY_HIGH)
-        sim.run()
-        assert order == ["high", "low"]
-
-    def test_legacy_schedule_negative_delay_still_raises(self):
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError):
-                sim.schedule(-1, lambda: None)
-
-    def test_legacy_schedule_at_warns_and_delegates(self):
-        sim = Simulator()
-        fired = []
-        with pytest.warns(DeprecationWarning, match="at=time"):
-            sim.schedule_at(4 * US, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [4 * US]
-
-    def test_legacy_schedule_at_past_still_raises(self):
-        sim = Simulator()
-        sim.schedule(lambda: None, after=10 * US)
-        sim.run()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError):
-                sim.schedule_at(5 * US, lambda: None)
-
-    def test_legacy_events_count_in_stats(self):
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning):
-            sim.schedule(1 * US, lambda: None)
-        sim.run()
-        assert sim.stats.events_scheduled == 1
-        assert sim.stats.events_executed == 1
+class TestRetiredForms:
+    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    def test_positional_delay_raises(self, scheduler):
+        sim = Simulator(scheduler=scheduler)
+        with pytest.raises(TypeError):
+            sim.schedule(5, lambda: None)
+        assert not hasattr(sim, "schedule_at")
+        assert sim.stats.events_scheduled == 0

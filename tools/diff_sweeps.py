@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Diff two or more sweep manifests cell by cell.
 
-CI's distributed-smoke job runs the *same* sweep on every executor
-backend (serial, local-pool, subprocess) and pipes the manifests through
+CI's distributed-smoke job runs the *same* sweep on both executor
+backends (serial, local-pool:2) and pipes the manifests through
 this tool: per (figure, seed, params) cell it compares status, verdict,
 row counts, and — when the sweeps streamed their rows — the row
 payloads byte for byte.  Execution metadata that legitimately differs
@@ -14,7 +14,7 @@ without PYTHONPATH or an installed package.
 
 Usage::
 
-    python tools/diff_sweeps.py serial.json pool.json subprocess.json
+    python tools/diff_sweeps.py serial.json local-pool2.json
 
 Exit status: 0 when all manifests agree, 1 on any divergence (each
 difference is printed), 2 on usage errors.

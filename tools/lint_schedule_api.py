@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail if in-repo code uses the deprecated scheduling signatures.
+"""Fail if in-repo code uses the retired scheduling signatures.
 
 The redesigned API is keyword-only::
 
@@ -7,10 +7,11 @@ The redesigned API is keyword-only::
     sim.schedule(fn, after=delay)     # relative
     sim.schedule(fn, at=deadline)     # absolute
 
-The deprecated forms — ``sim.schedule(delay, fn)`` (two or more
-positional arguments) and ``sim.schedule_at(...)`` — still work for
-out-of-tree callers but are banned in this repository.  This linter
-walks the AST (so strings and comments never false-positive) and flags:
+The retired forms — ``sim.schedule(delay, fn)`` (two or more
+positional arguments) and ``sim.schedule_at(...)`` — fail at the call
+(``TypeError``/``AttributeError``); this linter catches them before
+anything runs.  It walks the AST (so strings and comments never
+false-positive) and flags:
 
 - any ``*.schedule(...)`` call with two or more positional arguments;
 - any ``*.schedule(...)`` call using the legacy ``callback=`` keyword;
@@ -31,9 +32,9 @@ from pathlib import Path
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "figures")
 
-#: Files allowed to mention the legacy forms: the shim itself and its tests.
+#: Files allowed to mention the retired forms: the test asserting they
+#: fail, and this tool.
 ALLOWED = {
-    Path("src/repro/simcore/simulator.py"),
     Path("tests/simcore/test_schedule_api.py"),
     Path("tools/lint_schedule_api.py"),
 }
