@@ -1,19 +1,18 @@
 """E-swt — cost of end-to-end sweep tracing on the sweep control plane.
 
 The design budget: with ``sweeptrace`` off (the default) the trace plane
-must cost a sweep **at most 1.05x** of its pre-tracing wall time.  The
-off path is a ``recorder is None`` check per lifecycle event — the
-engine builds no recorder, backends emit through the same ``on_event``
-channel that already served the status heartbeat — so the budget holds
-structurally; the cross-PR enforcement is the recorded sweep bench in
-the append-only history that ``repro bench compare`` judges.  What
-*this* benchmark proves in-process:
+must cost a sweep **at most 1.05x** of its pre-tracing wall time.  With
+neither ``sweeptrace`` nor a status file the engine builds no
+control-plane fold (its "recorder") at all, and backends get no event
+channel, so the budget holds structurally; the cross-PR enforcement is
+the recorded sweep bench in the append-only history that ``repro bench
+compare`` judges.  What *this* benchmark proves in-process:
 
 - **off** and **traced** runs of the same seeded grid produce
   *byte-identical* rows (the trace observes the control plane, never
   perturbs job payloads or results);
-- tracing-on overhead stays inside a loose hard bound — one JSONL
-  append per lifecycle event, O(1) each;
+- tracing-on overhead stays inside a loose hard bound — one fold step
+  and one JSONL append per lifecycle event, O(1) each;
 - the traced run actually recorded a full event stream.
 
 The grid is a multi-job ``fig4-delay`` sweep rather than one huge

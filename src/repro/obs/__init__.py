@@ -26,7 +26,8 @@ Three cross-run companions build on the per-run layer (imported lazily —
 - :mod:`repro.obs.history` — the append-only bench history store with
   MAD-banded regression detection (``repro bench record/compare``).
 - :mod:`repro.obs.status` — the live ``status.json`` heartbeat a running
-  sweep maintains for ``repro obs tail --follow``.
+  sweep maintains for ``repro obs tail --follow``, projected from the
+  control-plane fold of :mod:`repro.obs.sweeptrace`.
 """
 
 import importlib

@@ -1,11 +1,13 @@
 """Live sweep telemetry: a heartbeated, machine-readable ``status.json``.
 
 A multi-hour ``repro all`` used to be a black box between per-job progress
-lines.  :class:`SweepStatus` gives the supervisor a single small file it
-rewrites (atomically) on every job start, retry, and completion — plus the
-final state — so anything on the same filesystem can watch a sweep without
-touching its workers, cache keys, or results.  The JSON schema
-(``repro.obs/status/v1``)::
+lines.  ``run_jobs(status_path=...)`` keeps one small file that anything
+on the same filesystem can watch, without touching workers, cache keys,
+or results.  The file is a projection of the sweep's control-plane fold
+(:class:`repro.obs.sweeptrace.SweepTrace`): it is rewritten, atomically
+and best-effort, after every ``sweep_start``, ``attempt_start``,
+``retry_scheduled``, ``job_end`` and ``sweep_end`` event.  The JSON
+schema (``repro.obs/status/v1``)::
 
     {
       "schema": "repro.obs/status/v1",
@@ -17,23 +19,19 @@ touching its workers, cache keys, or results.  The JSON schema
       "cached": 2,
       "failed": 1,                 // failed/timeout so far
       "retries": 3,                // retry attempts charged so far
-      "workers": 4,
-      "backend": "local-pool",     // executor backend; null before dispatch
-      "current": ["fig5 seed=3"],  // cells in flight right now
+      "workers": 4,                // of the backend that runs the sweep
+      "backend": "local-pool",     // that backend's name
+      "current": ["fig5 seed=3 cycles=200"],  // cells in flight right now
       "elapsed_s": 81.4,
       "eta_s": 42.0,               // null until a computed job finishes
       "updated_at": 1754476800.0,  // unix time of this heartbeat
       "last_error": "fig6 seed=1: ValueError: ..."   // or null
     }
 
+The ETA is remaining jobs × mean successful attempt wall ÷ workers.
 Readers use :func:`resolve_status_path` (accepts the file or the sweep's
-run directory) and :func:`format_status` (the one-line rendering shared by
-the in-terminal progress line and ``repro obs tail``).
-
-The writer lives entirely in the supervising parent process: worker
-payloads, cache keys, and simulation results are byte-identical with or
-without a status file.  Heartbeat I/O failures are swallowed after the
-first write succeeds — losing telemetry must never fail a sweep.
+run directory) and :func:`format_status` (the one-line rendering shared
+by the in-terminal progress line and ``repro obs tail``).
 """
 
 from __future__ import annotations
@@ -54,112 +52,43 @@ STATE_DONE = "done"
 STATE_DEGRADED = "degraded"
 
 
-class SweepStatus:
-    """Writer side: owned by the sweep supervisor, one per ``run_jobs``."""
+def snapshot(timeline: Any) -> dict[str, Any]:
+    """The status payload of a :class:`~repro.obs.sweeptrace.SweepTimeline`."""
+    if not timeline.ended:
+        state = STATE_RUNNING
+    else:
+        state = STATE_DEGRADED if timeline.failed else STATE_DONE
+    eta = timeline.eta_s()
+    return {
+        "schema": STATUS_SCHEMA,
+        "pid": os.getpid(),
+        "state": state,
+        "total": timeline.total,
+        "done": timeline.done,
+        "ok": timeline.ok,
+        "cached": timeline.cached,
+        "failed": timeline.failed,
+        "retries": timeline.retries,
+        "workers": max(timeline.workers, 1),
+        "backend": timeline.backend,
+        "current": [timeline.job_label(j) for j in sorted(timeline.running)],
+        "elapsed_s": round(time.time() - timeline.t0, 3),
+        "eta_s": round(eta, 3) if eta is not None else None,
+        "updated_at": time.time(),
+        "last_error": timeline.last_error,
+    }
 
-    def __init__(
-        self,
-        path: Path | str,
-        total: int,
-        workers: int = 1,
-        backend: str | None = None,
-    ) -> None:
-        self.path = Path(path)
-        self.total = total
-        self.workers = max(workers, 1)
-        #: Executor backend name; settable after construction because the
-        #: engine resolves it only once it knows what is pending.
-        self.backend = backend
-        self.done = 0
-        self.ok = 0
-        self.cached = 0
-        self.failed = 0
-        self.retries = 0
-        self.last_error: str | None = None
-        self.state = STATE_RUNNING
-        self._current: dict[int, str] = {}
-        self._durations: list[float] = []
-        self._started = time.monotonic()
-        self._broken = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._flush()
 
-    # -- supervisor hooks --------------------------------------------------
-
-    def job_started(self, index: int, label: str) -> None:
-        self._current[index] = label
-        self._flush()
-
-    def job_retried(self, index: int, label: str) -> None:
-        self.retries += 1
-        self._current.pop(index, None)
-        self._flush()
-
-    def job_finished(self, index: int, record: Any) -> None:
-        """Count one completed :class:`~repro.runner.manifest.JobRecord`."""
-        self._current.pop(index, None)
-        self.done += 1
-        if record.status == "cached":
-            self.cached += 1
-        elif record.ok:
-            self.ok += 1
-            if record.wall_time_s > 0:
-                self._durations.append(record.wall_time_s)
-        else:
-            self.failed += 1
-            label = f"{record.figure} seed={record.seed}"
-            self.last_error = f"{label}: {record.error or record.status}"
-        self._flush()
-
-    def finalize(self) -> None:
-        self.state = STATE_DEGRADED if self.failed else STATE_DONE
-        self._current.clear()
-        self._flush()
-
-    # -- snapshotting ------------------------------------------------------
-
-    def eta_s(self) -> float | None:
-        """Remaining-work estimate from completed computed-job durations."""
-        if not self._durations:
-            return None
-        remaining = max(self.total - self.done, 0)
-        mean = sum(self._durations) / len(self._durations)
-        return remaining * mean / self.workers
-
-    def snapshot(self) -> dict[str, Any]:
-        eta = self.eta_s()
-        return {
-            "schema": STATUS_SCHEMA,
-            "pid": os.getpid(),
-            "state": self.state,
-            "total": self.total,
-            "done": self.done,
-            "ok": self.ok,
-            "cached": self.cached,
-            "failed": self.failed,
-            "retries": self.retries,
-            "workers": self.workers,
-            "backend": self.backend,
-            "current": [self._current[k] for k in sorted(self._current)],
-            "elapsed_s": round(time.monotonic() - self._started, 3),
-            "eta_s": round(eta, 3) if eta is not None else None,
-            "updated_at": time.time(),
-            "last_error": self.last_error,
-        }
-
-    def _flush(self) -> None:
-        if self._broken:
-            return
-        tmp = self.path.with_name(
-            f".{self.path.name}.tmp.{os.getpid()}"
-        )
-        try:
-            tmp.write_text(json.dumps(self.snapshot(), indent=2) + "\n")
-            os.replace(tmp, self.path)
-        except OSError:
-            # Telemetry is best-effort: a full disk or vanished directory
-            # mid-sweep must not take the sweep down with it.
-            self._broken = True
+def write_status(path: Path, timeline: Any) -> bool:
+    """Atomically rewrite ``path`` from ``timeline``; ``False`` on I/O
+    failure (a full disk or vanished directory must not fail a sweep)."""
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    try:
+        tmp.write_text(json.dumps(snapshot(timeline), indent=2) + "\n")
+        os.replace(tmp, path)
+    except OSError:
+        return False
+    return True
 
 
 # -- reader side -----------------------------------------------------------

@@ -1,29 +1,34 @@
-"""End-to-end sweep tracing: the control plane's own distributed trace.
+"""End-to-end sweep tracing: the control plane's one event record.
 
 Sweep execution spans processes (engine → executor backend → forked
 worker processes), yet without a trace a job is a single
 ``wall_time_s`` in the manifest and nothing explains where a sweep's
-wall time actually went.  This module is the
-knowledge plane over that control plane:
+wall time actually went.  This module is the knowledge plane over that
+control plane, built on one stream of lifecycle events:
 
 - the engine mints a run-level **trace id** (a digest of the sorted job
   keys — the same grid gets the same trace on every replay) and one
   **span id** per job cell;
-- every backend emits structured lifecycle events through the engine's
-  ``on_event`` channel — ``submitted``, ``queued``, ``attempt_start``,
-  ``attempt_end`` (with outcome), ``retry_scheduled``,
-  ``worker_spawn``/``worker_ready``/``worker_dead``, ``checkpoint``,
-  ``cache_hit`` — which a :class:`SweepTraceRecorder` appends to
+- the engine and its backend report every lifecycle event through one
+  call, :meth:`SweepTrace.emit` — ``sweep_start``, ``submitted``,
+  ``queued``, ``cache_hit``, ``attempt_start``, ``attempt_end`` (with
+  outcome), ``retry_scheduled``, ``job_end``, ``checkpoint``,
+  ``worker_spawn``/``worker_ready``/``worker_dead`` and ``sweep_end``;
+- each event is folded into a :class:`SweepTimeline` by
+  :meth:`SweepTimeline.apply` and, with ``sweeptrace=`` on, appended to
   ``sweep.events.jsonl`` (schema :data:`SWEEPTRACE_SCHEMA`) next to the
-  manifest;
+  manifest.  The live ``status.json`` (:mod:`repro.obs.status`), its
+  ETA, the ``sweep_end`` counts and the manifest's per-job
+  ``queue_s``/``compute_s``/``attempt_timings`` are all projections of
+  that fold, and :func:`build_timeline` reads a file back through the
+  same ``apply`` — so the views cannot disagree;
 - each job payload carries the span context, so the child-side
   ``runner.job`` Chrome spans are correlated with the engine's job spans
   by span id;
-- :func:`build_timeline` + :func:`critical_path` reconstruct the sweep
-  and compute its **critical path**: a gap-free tiling of the sweep's
-  wall-clock interval into ``compute`` / ``queue`` / ``spawn`` /
-  ``retry`` / ``checkpoint`` / ``idle`` segments (they sum to the total
-  wall time *exactly*, by construction);
+- :func:`critical_path` computes the sweep's **critical path**: a
+  gap-free tiling of its wall-clock interval into ``compute`` /
+  ``queue`` / ``spawn`` / ``retry`` / ``checkpoint`` / ``idle`` segments
+  (they sum to the total wall time *exactly*, by construction);
 - :func:`merge_chrome` folds the engine events and the per-job child
   traces into one cross-process Chrome trace — one track per backend
   slot / worker — loadable in Perfetto;
@@ -35,9 +40,8 @@ retry schedule — ids are digests, ordering follows the engine's
 deterministic dispatch — so two replays of the same ``(grid, seed)``
 produce byte-identical files modulo the volatile timing fields
 (:data:`VOLATILE_KEYS`, compare with :func:`canonical_lines`).  The
-writer is best-effort exactly like the status heartbeat: a full disk
-never takes the sweep down, and results are byte-identical with tracing
-on or off.
+writer never raises: an I/O error mid-sweep silently stops it, and
+results are byte-identical with tracing on or off.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Sequence, TextIO
+
+from .status import write_status
 
 SWEEPTRACE_SCHEMA = "repro.obs/sweeptrace/v1"
 
@@ -94,34 +100,37 @@ def job_span_id(trace: str, key: str) -> str:
 
 
 class SweepTraceWriter:
-    """Append-only JSONL event sink; best-effort like the status file."""
+    """Append-only JSONL event sink.
+
+    Never raises: a path that cannot be opened, or an I/O error mid-sweep,
+    silently disables the writer — a full disk must not fail the sweep.
+    """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self._handle: TextIO | None = None
-        self._broken = False
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "w", encoding="utf-8")
         except OSError:
-            self._broken = True
+            pass
 
     def emit(self, ev: str, **fields: Any) -> None:
-        """Append one event line; ``None`` fields are omitted."""
-        if self._broken or self._handle is None:
+        """Append one event line stamped now; ``None`` fields are omitted."""
+        self.write(_stamp(ev, fields))
+
+    def write(self, event: dict[str, Any]) -> None:
+        """Append one already-stamped event line."""
+        if self._handle is None:
             return
-        record: dict[str, Any] = {"ev": ev, "ts": round(time.time(), 6)}
-        record.update((k, v) for k, v in fields.items() if v is not None)
         try:
             self._handle.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                json.dumps(event, sort_keys=True, separators=(",", ":"))
             )
             self._handle.write("\n")
             self._handle.flush()
         except (OSError, ValueError):
-            # Telemetry is best-effort: a full disk or a closed handle
-            # mid-sweep must never fail the sweep itself.
-            self._broken = True
+            self.close()
 
     def close(self) -> None:
         if self._handle is not None:
@@ -132,204 +141,10 @@ class SweepTraceWriter:
             self._handle = None
 
 
-class SweepTraceRecorder:
-    """Engine-side recorder: turns ``on_event`` traffic into trace events
-    plus per-job timing aggregates for the manifest.
-
-    Owned by :func:`repro.runner.run_jobs`; one per sweep.  All clocks
-    are the supervising process's wall clock — job payloads, cache keys,
-    and results are byte-identical with or without a recorder.
-    """
-
-    def __init__(
-        self,
-        path: Path | str,
-        keys: Iterable[str],
-        total: int,
-        workers: int,
-    ) -> None:
-        keys = list(keys)
-        self.trace = sweep_trace_id(keys)
-        self._spans = {
-            index: job_span_id(self.trace, key)
-            for index, key in enumerate(keys)
-        }
-        self._keys = list(keys)
-        self._writer = SweepTraceWriter(path)
-        self._started = time.time()
-        #: index -> (figure, seed) labels for task-less event emission.
-        self._labels: dict[int, tuple[str, int]] = {}
-        self._submitted: dict[int, float] = {}
-        self._first_start: dict[int, float] = {}
-        self._open_attempts: dict[int, tuple[int, float]] = {}
-        self._attempt_log: dict[int, list[dict[str, Any]]] = {}
-        self._writer.emit(
-            "sweep_start",
-            schema=SWEEPTRACE_SCHEMA,
-            trace=self.trace,
-            total=total,
-            workers=workers,
-        )
-
-    def span_for(self, index: int) -> str:
-        return self._spans[index]
-
-    def span_context(self, index: int) -> dict[str, str]:
-        """The ``{"trace", "span"}`` dict a job payload carries into the
-        worker process so child-side spans correlate."""
-        return {"trace": self.trace, "span": self._spans[index]}
-
-    # -- engine hooks ------------------------------------------------------
-
-    def job_submitted(
-        self, index: int, figure: str, seed: int, position: int
-    ) -> None:
-        now = time.time()
-        self._labels[index] = (figure, seed)
-        self._submitted[index] = now
-        self._writer.emit(
-            "submitted",
-            span=self._spans[index],
-            job=index,
-            figure=figure,
-            seed=seed,
-            key=self._keys[index],
-        )
-        self._writer.emit(
-            "queued", span=self._spans[index], job=index, position=position
-        )
-
-    def cache_hit(
-        self, index: int, figure: str, seed: int, wall_s: float
-    ) -> None:
-        self._labels[index] = (figure, seed)
-        self._writer.emit(
-            "cache_hit",
-            span=self._spans[index],
-            job=index,
-            figure=figure,
-            seed=seed,
-            wall_s=round(wall_s, 6),
-        )
-
-    def checkpoint(self, done: int, dur_s: float) -> None:
-        self._writer.emit("checkpoint", done=done, dur_s=round(dur_s, 6))
-
-    def handle(self, kind: str, task: Any, info: Any = None) -> None:
-        """Dispatch one ``on_event`` emission from a backend."""
-        info = info if isinstance(info, dict) else {}
-        if task is None and kind in ("start", "retry", "attempt_end"):
-            return  # job-level events need a task to attribute to
-        if kind == "start":
-            self._attempt_start(
-                task.index, task.attempts, worker=info.get("worker")
-            )
-        elif kind == "retry":
-            self._writer.emit(
-                "retry_scheduled",
-                span=self._spans.get(task.index),
-                job=task.index,
-                figure=task.figure,
-                attempt=task.attempts,
-                delay_s=info.get("delay_s"),
-            )
-        elif kind == "attempt_end":
-            self.attempt_end(
-                task.index,
-                outcome=info.get("outcome", "failed"),
-                wall_s=info.get("wall_s"),
-                pid=info.get("pid"),
-                error=info.get("error"),
-            )
-        elif kind in ("worker_spawn", "worker_ready", "worker_dead"):
-            self._writer.emit(
-                kind,
-                worker=info.get("worker"),
-                pid=info.get("pid"),
-                reason=info.get("reason"),
-            )
-
-    def _attempt_start(
-        self, index: int, attempt: int, worker: int | None = None
-    ) -> None:
-        now = time.time()
-        self._first_start.setdefault(index, now)
-        self._open_attempts[index] = (attempt, now)
-        figure, _ = self._labels.get(index, ("?", 0))
-        self._writer.emit(
-            "attempt_start",
-            span=self._spans.get(index),
-            job=index,
-            figure=figure,
-            attempt=attempt,
-            worker=worker,
-        )
-
-    def attempt_end(
-        self,
-        index: int,
-        outcome: str,
-        wall_s: float | None = None,
-        pid: int | None = None,
-        error: str | None = None,
-    ) -> None:
-        now = time.time()
-        attempt, opened = self._open_attempts.pop(index, (1, now))
-        if wall_s is None:
-            wall_s = max(now - opened, 0.0)
-        figure, _ = self._labels.get(index, ("?", 0))
-        self._attempt_log.setdefault(index, []).append(
-            {
-                "attempt": attempt,
-                "outcome": outcome,
-                "start_s": round(opened - self._started, 6),
-                "wall_s": round(wall_s, 6),
-            }
-        )
-        self._writer.emit(
-            "attempt_end",
-            span=self._spans.get(index),
-            job=index,
-            figure=figure,
-            attempt=attempt,
-            outcome=outcome,
-            wall_s=round(wall_s, 6),
-            pid=pid,
-            error=error,
-        )
-
-    def timings_for(self, index: int) -> dict[str, Any]:
-        """Per-job ``queue_s``/``compute_s``/``attempt_timings`` for the
-        manifest record (tolerant-read additive fields)."""
-        log = self._attempt_log.get(index, [])
-        queue_s = None
-        if index in self._submitted and index in self._first_start:
-            queue_s = max(
-                self._first_start[index] - self._submitted[index], 0.0
-            )
-        return {
-            "queue_s": round(queue_s, 6) if queue_s is not None else None,
-            "compute_s": round(sum(a["wall_s"] for a in log), 6)
-            if log
-            else None,
-            "attempt_timings": log or None,
-        }
-
-    def finalize(
-        self, wall_s: float, ok: int, failed: int, cached: int,
-        backend: str | None = None,
-    ) -> None:
-        self._writer.emit(
-            "sweep_end",
-            trace=self.trace,
-            backend=backend,
-            ok=ok,
-            failed=failed,
-            cached=cached,
-            wall_s=round(wall_s, 6),
-        )
-        self._writer.close()
-
+def _stamp(ev: str, fields: dict[str, Any]) -> dict[str, Any]:
+    event: dict[str, Any] = {"ev": ev, "ts": round(time.time(), 6)}
+    event.update((k, v) for k, v in fields.items() if v is not None)
+    return event
 
 # -- loading ----------------------------------------------------------------
 
@@ -378,7 +193,7 @@ def canonical_lines(path: Path | str) -> list[str]:
     return out
 
 
-# -- timeline model ---------------------------------------------------------
+# -- the fold ---------------------------------------------------------------
 
 
 @dataclass
@@ -394,6 +209,9 @@ class AttemptSpan:
     worker: int | None = None
     span: str | None = None
     pid: int | None = None
+    #: The ``attempt_end`` wall: worker-reported when the backend had it,
+    #: else the supervisor's start→end interval.
+    wall: float = 0.0
 
     @property
     def dur(self) -> float:
@@ -403,12 +221,16 @@ class AttemptSpan:
 @dataclass
 class JobTrack:
     job: int
-    figure: str
+    figure: str = "?"
     seed: int | None = None
     span: str | None = None
     key: str | None = None
     submitted: float | None = None
     cached: bool = False
+    #: Grid parameters as sorted ``(name, value)`` pairs.  The event
+    #: stream does not carry them; only the live fold knows them.
+    params: tuple[tuple[str, Any], ...] = ()
+    attempts: list[AttemptSpan] = field(default_factory=list)
 
 
 @dataclass
@@ -422,7 +244,12 @@ class WorkerTrack:
 
 @dataclass
 class SweepTimeline:
-    """A sweep reconstructed from its ``sweep.events.jsonl``."""
+    """A sweep folded from its event stream, live or from disk.
+
+    :meth:`apply` is the one fold step: the engine's live
+    :class:`SweepTrace` and :func:`build_timeline` run the same code, so
+    status, manifest timings and the rendered timeline cannot disagree.
+    """
 
     trace: str = ""
     total: int = 0
@@ -433,6 +260,9 @@ class SweepTimeline:
     ok: int = 0
     failed: int = 0
     cached: int = 0
+    retries: int = 0
+    last_error: str | None = None
+    ended: bool = False
     jobs: dict[int, JobTrack] = field(default_factory=dict)
     attempts: list[AttemptSpan] = field(default_factory=list)
     #: ``(start, end)`` manifest-checkpoint write windows.
@@ -440,128 +270,252 @@ class SweepTimeline:
     #: ``(job, start, end)`` cache-lookup windows.
     cache_hits: list[tuple[int, float, float]] = field(default_factory=list)
     worker_tracks: dict[int, WorkerTrack] = field(default_factory=dict)
+    #: Attempts in flight, by job.
+    running: dict[int, AttemptSpan] = field(default_factory=dict)
+    last_ts: float = 0.0
+    #: Sum and count of successful attempt walls (the ETA's mean).
+    ok_wall_s: float = 0.0
+    ok_walls: int = 0
 
     @property
     def wall_s(self) -> float:
         return max(self.t1 - self.t0, 0.0)
 
+    @property
+    def done(self) -> int:
+        return self.ok + self.failed + self.cached
+
     def job_label(self, index: int) -> str:
+        """``figure seed=S name=value ...`` — every label of a job."""
         track = self.jobs.get(index)
         if track is None:
             return f"job {index}"
-        seed = f" seed={track.seed}" if track.seed is not None else ""
-        return f"{track.figure}{seed}"
+        parts = [track.figure]
+        if track.seed is not None:
+            parts.append(f"seed={track.seed}")
+        parts += [f"{name}={value}" for name, value in track.params]
+        return " ".join(parts)
+
+    def eta_s(self) -> float | None:
+        """Remaining jobs × mean successful attempt wall ÷ workers;
+        ``None`` until an attempt has succeeded (cache hits carry no
+        signal)."""
+        if not self.ok_walls:
+            return None
+        remaining = max(self.total - self.done, 0)
+        return remaining * self.ok_wall_s / self.ok_walls / max(
+            self.workers, 1
+        )
+
+    def timings(self, index: int) -> dict[str, Any]:
+        """Job ``index``'s manifest fields: ``span``, ``queue_s``,
+        ``compute_s`` and ``attempt_timings``."""
+        track = self.jobs[index]
+        log = [
+            {
+                "attempt": a.attempt,
+                "outcome": a.outcome,
+                "start_s": round(a.start - self.t0, 6),
+                "wall_s": a.wall,
+            }
+            for a in track.attempts
+        ]
+        queue_s = None
+        if track.submitted is not None and track.attempts:
+            queue_s = round(
+                max(track.attempts[0].start - track.submitted, 0.0), 6
+            )
+        return {
+            "span": track.span,
+            "queue_s": queue_s,
+            "compute_s": round(sum(a.wall for a in track.attempts), 6)
+            if log else None,
+            "attempt_timings": log or None,
+        }
+
+    def apply(self, event: dict[str, Any]) -> None:
+        """Fold one event in.  An ``attempt_end`` without ``wall_s`` has
+        it filled in from the attempt's interval, so the written line
+        carries it too."""
+        kind = event.get("ev")
+        ts = float(event.get("ts", self.last_ts))
+        self.last_ts = max(self.last_ts, ts)
+        if kind == "sweep_start":
+            self.trace = event.get("trace", "")
+            self.total = event.get("total", 0)
+            self.workers = event.get("workers", 1)
+            self.t0 = ts
+        elif kind in ("submitted", "cache_hit"):
+            job = int(event["job"])
+            track = self.jobs.setdefault(job, JobTrack(job))
+            track.figure = event.get("figure", "?")
+            track.seed = event.get("seed")
+            track.span = event.get("span")
+            if kind == "submitted":
+                track.key = event.get("key")
+                track.submitted = ts
+            else:
+                track.cached = True
+                wall = float(event.get("wall_s", 0.0))
+                self.cache_hits.append((job, ts - wall, ts))
+        elif kind == "attempt_start":
+            self._add_attempt(event, start=ts, outcome="running")
+        elif kind == "attempt_end":
+            job = int(event["job"])
+            attempt = self.running.pop(job, None)
+            if "wall_s" not in event:
+                opened = attempt.start if attempt is not None else ts
+                event["wall_s"] = max(ts - opened, 0.0)
+            wall = event["wall_s"] = round(float(event["wall_s"]), 6)
+            if attempt is None:
+                attempt = self._add_attempt(event, start=ts - wall)
+            attempt.end = ts
+            attempt.outcome = event.get("outcome", "?")
+            attempt.pid = event.get("pid")
+            attempt.wall = wall
+            if attempt.outcome == "ok" and wall > 0:
+                self.ok_wall_s += wall
+                self.ok_walls += 1
+        elif kind == "retry_scheduled":
+            self.retries += 1
+        elif kind == "job_end":
+            status = event.get("status")
+            if status == "ok":
+                self.ok += 1
+            elif status == "cached":
+                self.cached += 1
+            else:
+                self.failed += 1
+                label = self.job_label(int(event["job"]))
+                self.last_error = f"{label}: {event.get('error') or status}"
+        elif kind == "checkpoint":
+            dur = float(event.get("dur_s", 0.0))
+            self.checkpoints.append((ts - dur, ts))
+        elif kind in ("worker_spawn", "worker_ready", "worker_dead"):
+            worker = event.get("worker", 0)
+            if kind == "worker_spawn":
+                self.worker_tracks[worker] = WorkerTrack(
+                    worker=worker, pid=event.get("pid"), spawned=ts
+                )
+            track = self.worker_tracks.setdefault(
+                worker, WorkerTrack(worker=worker)
+            )
+            if kind == "worker_ready":
+                track.ready = ts
+            elif kind == "worker_dead":
+                track.died = ts
+        elif kind == "sweep_end":
+            self.t1 = ts
+            self.backend = event.get("backend")
+            # Files written before job_end existed count only here.
+            self.ok = event.get("ok", self.ok)
+            self.failed = event.get("failed", self.failed)
+            self.cached = event.get("cached", self.cached)
+            self.ended = True
+
+    def _add_attempt(
+        self, event: dict[str, Any], start: float, outcome: str = "?"
+    ) -> AttemptSpan:
+        job = int(event["job"])
+        attempt = AttemptSpan(
+            job=job,
+            figure=event.get("figure", "?"),
+            attempt=event.get("attempt", 1),
+            start=start,
+            end=start,  # patched by the matching attempt_end
+            outcome=outcome,
+            worker=event.get("worker"),
+            span=event.get("span"),
+        )
+        self.attempts.append(attempt)
+        if job in self.jobs:
+            self.jobs[job].attempts.append(attempt)
+        if outcome == "running":
+            self.running[job] = attempt
+        return attempt
+
+    def close(self) -> None:
+        """End a sweep read back from disk: an interrupted one (no
+        ``sweep_end``) stops at its last event, open attempts with it."""
+        if not self.ended:
+            self.t1 = self.last_ts
+        for attempt in self.attempts:
+            if attempt.outcome == "running":
+                attempt.end = self.t1
+                attempt.outcome = "unfinished"
 
 
 def build_timeline(events: list[dict[str, Any]]) -> SweepTimeline:
     """Reconstruct the sweep timeline from its event stream."""
     tl = SweepTimeline()
-    last_ts = 0.0
-    saw_end = False
     for event in events:
-        kind = event.get("ev")
-        ts = float(event.get("ts", last_ts))
-        last_ts = max(last_ts, ts)
-        if kind == "sweep_start":
-            tl.trace = event.get("trace", "")
-            tl.total = event.get("total", 0)
-            tl.workers = event.get("workers", 1)
-            tl.t0 = ts
-        elif kind == "submitted":
-            job = int(event["job"])
-            tl.jobs[job] = JobTrack(
-                job=job,
-                figure=event.get("figure", "?"),
-                seed=event.get("seed"),
-                span=event.get("span"),
-                key=event.get("key"),
-                submitted=ts,
-            )
-        elif kind == "cache_hit":
-            job = int(event["job"])
-            wall = float(event.get("wall_s", 0.0))
-            tl.jobs[job] = JobTrack(
-                job=job,
-                figure=event.get("figure", "?"),
-                seed=event.get("seed"),
-                span=event.get("span"),
-                cached=True,
-            )
-            tl.cache_hits.append((job, ts - wall, ts))
-        elif kind == "attempt_start":
-            job = int(event["job"])
-            tl.attempts.append(
-                AttemptSpan(
-                    job=job,
-                    figure=event.get("figure", "?"),
-                    attempt=event.get("attempt", 1),
-                    start=ts,
-                    end=ts,  # patched by the matching attempt_end
-                    outcome="running",
-                    worker=event.get("worker"),
-                    span=event.get("span"),
-                )
-            )
-        elif kind == "attempt_end":
-            job = int(event["job"])
-            open_span = next(
-                (
-                    a
-                    for a in reversed(tl.attempts)
-                    if a.job == job and a.outcome == "running"
-                ),
-                None,
-            )
-            if open_span is None:
-                wall = float(event.get("wall_s", 0.0))
-                open_span = AttemptSpan(
-                    job=job,
-                    figure=event.get("figure", "?"),
-                    attempt=event.get("attempt", 1),
-                    start=ts - wall,
-                    end=ts,
-                    outcome="?",
-                    span=event.get("span"),
-                )
-                tl.attempts.append(open_span)
-            open_span.end = ts
-            open_span.outcome = event.get("outcome", "?")
-            open_span.pid = event.get("pid")
-        elif kind == "checkpoint":
-            dur = float(event.get("dur_s", 0.0))
-            tl.checkpoints.append((ts - dur, ts))
-        elif kind == "worker_spawn":
-            tl.worker_tracks[event.get("worker", 0)] = WorkerTrack(
-                worker=event.get("worker", 0),
-                pid=event.get("pid"),
-                spawned=ts,
-            )
-        elif kind == "worker_ready":
-            track = tl.worker_tracks.setdefault(
-                event.get("worker", 0),
-                WorkerTrack(worker=event.get("worker", 0)),
-            )
-            track.ready = ts
-        elif kind == "worker_dead":
-            track = tl.worker_tracks.setdefault(
-                event.get("worker", 0),
-                WorkerTrack(worker=event.get("worker", 0)),
-            )
-            track.died = ts
-        elif kind == "sweep_end":
-            tl.t1 = ts
-            tl.backend = event.get("backend")
-            tl.ok = event.get("ok", 0)
-            tl.failed = event.get("failed", 0)
-            tl.cached = event.get("cached", 0)
-            saw_end = True
-    if not saw_end:
-        tl.t1 = last_ts  # interrupted sweep: report what happened so far
-    for attempt in tl.attempts:
-        if attempt.outcome == "running":  # open at interruption
-            attempt.end = tl.t1
-            attempt.outcome = "unfinished"
+        tl.apply(event)
+    tl.close()
     return tl
+
+
+#: Events after which the status projection can have changed.
+_STATUS_EVENTS = frozenset(
+    {"sweep_start", "attempt_start", "retry_scheduled", "job_end",
+     "sweep_end"}
+)
+
+
+class SweepTrace:
+    """The live control-plane record of one sweep.
+
+    Owned by :func:`repro.runner.run_jobs` when it writes a status file
+    or an event stream, and by nothing otherwise.  :meth:`emit` is the
+    one entry point: it stamps the event, folds it into :attr:`timeline`,
+    appends it to ``events`` (if given) and rewrites the ``status`` file
+    (if given) from the fold.  All clocks are the supervising process's
+    wall clock; job payloads, cache keys and results never see it.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[Any],
+        keys: Sequence[str],
+        *,
+        events: Path | str | None = None,
+        status: Path | str | None = None,
+        backend: str | None = None,
+    ) -> None:
+        self.trace = sweep_trace_id(keys)
+        self.spans = [job_span_id(self.trace, key) for key in keys]
+        self.timeline = SweepTimeline(backend=backend)
+        for index, (job, key) in enumerate(zip(jobs, keys)):
+            self.timeline.jobs[index] = JobTrack(
+                index, job.figure, job.seed, self.spans[index], key,
+                params=tuple(job.params),
+            )
+        self._writer = SweepTraceWriter(events) if events is not None else None
+        #: Set to ``None`` by the first failed rewrite (best-effort).
+        self.status_path = Path(status) if status is not None else None
+        if self.status_path is not None:
+            self.status_path.parent.mkdir(parents=True, exist_ok=True)
+
+    def span_context(self, index: int) -> dict[str, str]:
+        """The ``{"trace", "span"}`` dict a job payload carries into the
+        worker process so child-side spans correlate."""
+        return {"trace": self.trace, "span": self.spans[index]}
+
+    def emit(self, ev: str, **fields: Any) -> None:
+        """Record one lifecycle event; ``None`` fields are omitted and a
+        job event without a ``span`` gets its job's."""
+        event = _stamp(ev, fields)
+        if "job" in event:
+            event.setdefault("span", self.spans[event["job"]])
+        self.timeline.apply(event)
+        if self._writer is not None:
+            self._writer.write(event)
+        if self.status_path is not None and ev in _STATUS_EVENTS:
+            if not write_status(self.status_path, self.timeline):
+                self.status_path = None
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
 
 
 def assign_lanes(tl: SweepTimeline) -> list[int]:

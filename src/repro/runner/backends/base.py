@@ -17,9 +17,9 @@ must honor — enforced by ``tests/runner/test_backend_conformance.py``:
   of :meth:`ExecutorBackend.run`;
 - a failed attempt with retry budget left is retried after the
   deterministic :meth:`RetryPolicy.backoff_s` delay, counted on the
-  ``chaos.runner.retries`` obs counter, with ``on_event("retry", task)``
-  fired — and the retry reruns the *identical* payload;
-- ``on_event("start", task)`` fires before every execution attempt;
+  ``chaos.runner.retries`` obs counter, with a ``retry_scheduled``
+  event — and the retry reruns the *identical* payload;
+- an ``attempt_start`` event fires before every execution attempt;
 - a sibling's crash or timeout never charges, reruns, or disturbs an
   innocent job.
 
@@ -71,16 +71,16 @@ class ExecutorBackend(Protocol):
     ) -> None:
         """Execute ``tasks``, calling ``finish`` exactly once per task.
 
-        ``on_event(kind, task, info=None)`` is the engine's lifecycle
-        channel.  Kinds every backend emits: ``"start"`` (before each
-        attempt), ``"retry"`` (``info={"delay_s": ...}``) and
-        ``"attempt_end"`` (``info={"outcome", "wall_s", "error"}``) —
-        both via :func:`charge_failure` — plus ``"attempt_end"`` with
-        ``outcome="preempted"`` for an uncharged re-dispatch.  The local
-        pool additionally tags ``"start"`` with ``info={"worker": id}``
-        and emits worker-lifecycle events
-        (``"worker_spawn"``/``"worker_ready"``/``"worker_dead"``) with
-        ``task=None``.
+        ``on_event(ev, **fields)`` is the engine's lifecycle channel,
+        spoken in the sweep-trace vocabulary (:mod:`repro.obs.sweeptrace`);
+        attempt-level events carry :meth:`Task.trace_fields`.  Events
+        every backend emits: ``attempt_start`` (before each attempt),
+        and, via :func:`charge_failure`, ``attempt_end`` (``outcome``,
+        ``wall_s``, ``error``) and ``retry_scheduled`` (``delay_s``) —
+        plus ``attempt_end`` with ``outcome="preempted"`` for an
+        uncharged re-dispatch.  The local pool additionally tags
+        ``attempt_start`` with ``worker=id`` and emits worker-lifecycle
+        events (``worker_spawn``/``worker_ready``/``worker_dead``).
         """
         ...
 
@@ -96,23 +96,18 @@ def charge_failure(
 ) -> None:
     """Shared retry bookkeeping: reschedule with backoff, or finalize.
 
-    Increment the retry counter, fire ``on_event("retry")``, and hand
-    the backend a backend-specific ``reschedule(task, delay_s)`` — one
+    Increment the retry counter, emit ``retry_scheduled``, and hand the
+    backend a backend-specific ``reschedule(task, delay_s)`` — one
     implementation, so the backends cannot drift apart.
 
-    Every charged attempt closes with ``on_event("attempt_end", task,
-    {...})`` carrying the outcome, so the sweep trace sees failed and
-    timed-out attempts exactly like successful ones.
+    Every charged attempt closes with an ``attempt_end`` event carrying
+    the outcome, so the sweep trace sees failed and timed-out attempts
+    exactly like successful ones.
     """
     if on_event is not None:
         on_event(
-            "attempt_end",
-            task,
-            {
-                "outcome": status,
-                "wall_s": result.get("wall_time_s"),
-                "error": result.get("error"),
-            },
+            "attempt_end", **task.trace_fields(), outcome=status,
+            wall_s=result.get("wall_time_s"), error=result.get("error"),
         )
     if task.attempts <= policy.retries:
         obs.get_registry().counter(
@@ -120,7 +115,9 @@ def charge_failure(
         ).inc()
         delay_s = policy.backoff_s(task.key, task.attempts)
         if on_event is not None:
-            on_event("retry", task, {"delay_s": delay_s})
+            on_event(
+                "retry_scheduled", **task.trace_fields(), delay_s=delay_s
+            )
         reschedule(task, delay_s)
         return
     result["status"] = status

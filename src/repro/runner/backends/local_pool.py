@@ -118,9 +118,9 @@ class LocalPoolBackend:
         children: dict[int, _Child] = {}
         strikes = 0
 
-        def emit(kind: str, **info: Any) -> None:
+        def emit(ev: str, **fields: Any) -> None:
             if on_event is not None:
-                on_event(kind, None, info)
+                on_event(ev, **fields)
 
         def spawn() -> None:
             conn, child_end = context.Pipe()
@@ -182,14 +182,19 @@ class LocalPoolBackend:
             task.attempts += 1
             task.started_at = time.monotonic()
             if on_event is not None:
-                on_event("start", task, {"worker": child.id})
+                on_event(
+                    "attempt_start", **task.trace_fields(), worker=child.id
+                )
             try:
                 child.conn.send(task.payload)
             except OSError:
                 # The child died while idle — not this task's doing.
                 # Uncharge it and let the loop respawn.
                 if on_event is not None:
-                    on_event("attempt_end", task, {"outcome": "preempted"})
+                    on_event(
+                        "attempt_end", **task.trace_fields(),
+                        outcome="preempted",
+                    )
                 task.attempts -= 1
                 pending.insert(0, task)
                 lost(child, "dead pipe")

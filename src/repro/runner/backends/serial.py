@@ -57,7 +57,7 @@ class SerialBackend:
         while True:
             task.attempts += 1
             if on_event is not None:
-                on_event("start", task)
+                on_event("attempt_start", **task.trace_fields())
             started = time.monotonic()
             index, result = guard(compute, task.payload)
             elapsed = time.monotonic() - started

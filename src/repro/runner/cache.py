@@ -186,6 +186,10 @@ class ResultCache:
         os.replace(tmp, path)
         return path
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry for ``key`` exists (it may still fail to load)."""
+        return self._entry_path(key).is_file()
+
     def __len__(self) -> int:
         """Number of entries currently on disk."""
         if not self.root.is_dir():

@@ -313,21 +313,13 @@ def _compute(
     content-addressed JSONL chunks (see :mod:`.rowstream`) and the
     result references them (``row_chunks``/``rows_count``) instead of
     carrying the rows inline — the supervising process never holds them.
-
-    Accepts the pre-streaming 8-tuple payload too (no key/stream fields),
-    so externally recorded payloads keep replaying.
     """
-    (index, figure, seed, params, trace_dir, profile,
-     telemetry_dir, telemetry_interval) = payload[:8]
-    key = payload[8] if len(payload) > 8 else None
-    stream_root = payload[9] if len(payload) > 9 else None
-    chunk_rows = payload[10] if len(payload) > 10 else DEFAULT_CHUNK_ROWS
-    # Sweep-trace span context (PR-10): present only when the sweep runs
-    # with tracing on, so payloads — and therefore results — are
+    (index, figure, seed, params, trace_dir, profile, telemetry_dir,
+     telemetry_interval, key, stream_root, chunk_rows) = payload[:11]
+    # Sweep-trace span context: present only when the sweep runs with
+    # tracing on, so payloads — and therefore results — are
     # byte-identical with tracing off.
     span_ctx = payload[11] if len(payload) > 11 else None
-    if not isinstance(span_ctx, dict):
-        span_ctx = None
     spec = get_spec(figure)
     observe = trace_dir is not None or profile
     hub = None
@@ -343,8 +335,7 @@ def _compute(
                 # Stamping the engine-minted ids onto the child-side job
                 # span is what correlates this process's Chrome trace
                 # with the parent's sweep.events.jsonl.
-                span_args["trace"] = span_ctx.get("trace")
-                span_args["span"] = span_ctx.get("span")
+                span_args.update(span_ctx)
             with obs.capture(
                 metrics=observe, tracing=observe, profile=profile,
                 telemetry=hub,
@@ -363,7 +354,7 @@ def _compute(
     }
     if span_ctx is not None:
         result["worker_pid"] = os.getpid()
-        result["span"] = span_ctx.get("span")
+        result["span"] = span_ctx["span"]
     if stream_root is not None:
         chunk_paths, count = write_row_chunks(
             stream_root, key, rows, chunk_rows
@@ -490,23 +481,30 @@ def run_jobs(
 
     **Live telemetry:** ``status_path`` names a
     :mod:`repro.obs.status` heartbeat file rewritten atomically on every
-    job start, retry, and completion (ok/failed/cached/retry counts,
-    in-flight cells, an ETA from completed-job durations), consumed by
-    ``repro obs tail --follow``.  The writer lives in the supervising
-    process only; job payloads, cache keys, and results are untouched.
+    attempt start, retry, and job completion (ok/failed/cached/retry
+    counts, in-flight cells, an ETA from completed-job durations divided
+    by the running backend's workers), consumed by ``repro obs tail
+    --follow``.
 
     **Sweep tracing:** ``sweeptrace`` names an append-only
     ``sweep.events.jsonl`` (schema ``repro.obs/sweeptrace/v1``, see
     :mod:`repro.obs.sweeptrace`) capturing the control plane's full
     lifecycle — submission, queueing, every execution attempt with its
-    outcome, retries with their backoff delays, worker spawn/ready/death,
-    checkpoint writes, and cache hits — under a deterministic run-level
-    trace id with one span id per job.  Job payloads gain a trailing
-    span-context element (absent with tracing off, so results are
-    byte-identical either way), computed records gain
+    outcome, retries with their backoff delays, job completions, worker
+    spawn/ready/death, checkpoint writes, and cache hits — under a
+    deterministic run-level trace id with one span id per job.  Job
+    payloads gain a trailing span-context element (absent with tracing
+    off, so results are byte-identical either way), records gain
     ``queue_s``/``compute_s``/``attempt_timings``/``span``, and ``repro
     obs timeline`` turns the file into a per-worker Gantt view with a
     critical-path phase breakdown.
+
+    Status and trace are two outputs of one record: with either on, the
+    engine and the backend report each lifecycle event once, to a
+    :class:`repro.obs.sweeptrace.SweepTrace` fold in the supervising
+    process; the status file, its ETA, the ``sweep_end`` counts and the
+    records' timing fields are projections of that fold, so they cannot
+    disagree.  With neither on, no fold is built.
     """
     jobs = list(jobs)
     workers = workers if workers is not None else (os.cpu_count() or 1)
@@ -533,12 +531,10 @@ def run_jobs(
     if checkpoint is not None:
         checkpoint = Path(checkpoint)
         ensure_writable_dir(checkpoint.parent, "manifest checkpoint")
-    status: Any = None
     if status_path is not None:
-        from ..obs.status import SweepStatus
-
         ensure_writable_dir(Path(status_path).parent, "status heartbeat")
-        status = SweepStatus(status_path, total=len(jobs), workers=workers)
+    if sweeptrace is not None:
+        ensure_writable_dir(Path(sweeptrace).parent, "sweep trace")
     if isinstance(backoff, RetryPolicy):
         policy = backoff
     else:
@@ -547,21 +543,49 @@ def run_jobs(
             timeout_s=timeout_s,
             **({"backoff_base_s": backoff} if backoff is not None else {}),
         )
-    chosen = resolve_backend(backend, workers=workers)
-    #: Recorded on each computed JobRecord; stays None for cache hits.
-    backend_name: str | None = None
     resume_keys = _resumable_keys(resume_from)
     keys = [job.key() for job in jobs]
-    outcomes: list[JobOutcome | None] = [None] * len(jobs)
-    recorder: Any = None
-    if sweeptrace is not None:
-        from ..obs.sweeptrace import SweepTraceRecorder
 
-        sweeptrace = Path(sweeptrace)
-        ensure_writable_dir(sweeptrace.parent, "sweep trace")
-        recorder = SweepTraceRecorder(
-            sweeptrace, keys, total=len(jobs), workers=workers
+    def servable(key: str) -> bool:
+        # On resume only previously-completed cells may be served from
+        # cache; failed cells must recompute even if some stale entry
+        # exists under their key.
+        return cache is not None and (
+            resume_from is None or key in resume_keys
         )
+
+    chosen = resolve_backend(backend, workers=workers)
+    if chosen is None:
+        # Auto: tiny sweeps run serially in-process (no pool overhead,
+        # trivially debuggable); timeouts force the pool — a hung job can
+        # only be killed from outside its process.  Chosen before the
+        # first event so status and trace name the backend that runs; a
+        # cell counts as pending unless its cache entry exists.
+        misses = (k for k in keys if not (servable(k) and k in cache))
+        inline = policy.timeout_s is None and (
+            workers <= 1 or len(list(itertools.islice(misses, 2))) <= 1
+        )
+        chosen = (
+            SerialBackend() if inline
+            else LocalPoolBackend(workers=max(workers, 1))
+        )
+    #: Recorded on each computed JobRecord; stays None for cache hits.
+    backend_name: str | None = None
+    outcomes: list[JobOutcome | None] = [None] * len(jobs)
+    trace: Any = None
+    if status_path is not None or sweeptrace is not None:
+        from ..obs.sweeptrace import SWEEPTRACE_SCHEMA, SweepTrace
+
+        trace = SweepTrace(
+            jobs, keys, events=sweeptrace, status=status_path,
+            backend=chosen.name,
+        )
+        trace.emit(
+            "sweep_start", schema=SWEEPTRACE_SCHEMA, trace=trace.trace,
+            total=len(jobs), workers=chosen.workers,
+        )
+    # Records and payloads carry span/timing fields only when traced.
+    traced = sweeptrace is not None
 
     def _flush_checkpoint() -> None:
         if checkpoint is None:
@@ -576,90 +600,48 @@ def run_jobs(
         tmp = checkpoint.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(manifest.to_json() + "\n")
         os.replace(tmp, checkpoint)
-        if recorder is not None:
-            recorder.checkpoint(
+        if trace is not None:
+            trace.emit(
+                "checkpoint",
                 done=sum(1 for o in outcomes if o is not None),
-                dur_s=time.perf_counter() - flush_start,
+                dur_s=round(time.perf_counter() - flush_start, 6),
             )
 
     def _complete(index: int, outcome: JobOutcome) -> None:
         outcomes[index] = outcome
         _flush_checkpoint()
-        if status is not None:
-            status.job_finished(index, outcome.record)
+        if trace is not None:
+            trace.emit(
+                "job_end", job=index, status=outcome.record.status,
+                error=outcome.record.error,
+            )
         if progress is not None:
             progress(outcome.record)
-
-    pending: list[
-        tuple[
-            int, str, int, tuple[tuple[str, Any], ...], str | None, bool,
-            str | None, int, str, str | None, int,
-        ]
-    ] = []
-    for index, (job, key) in enumerate(zip(jobs, keys)):
-        rows = None
-        hit_start = time.perf_counter()
-        if cache is not None and (resume_from is None or key in resume_keys):
-            # On resume only previously-completed cells may be served from
-            # cache; failed cells must recompute even if some stale entry
-            # exists under their key.
-            rows = cache.get(key)
-        if rows is not None:
-            # Verdicts are a pure function of the rows, so cache hits are
-            # re-judged rather than recomputed.
-            judge = get_spec(job.figure).verdict
-            verdict = judge(rows) if judge is not None else None
-            # The record carries the *actual* cache-service time (lookup
-            # + re-judging), not a hard-coded 0.0: consumers computing
-            # ETAs must exclude hits by their ``cached``/``status``
-            # marking, not rely on a zero sentinel deflating the mean.
-            hit_wall = time.perf_counter() - hit_start
-            record = JobRecord(
-                figure=job.figure,
-                seed=job.seed,
-                params=job.params_dict,
-                key=key,
-                cached=True,
-                wall_time_s=hit_wall,
-                rows=len(rows),
-                verdict=verdict,
-                status=STATUS_CACHED,
-                span=recorder.span_for(index) if recorder is not None
-                else None,
-            )
-            if recorder is not None:
-                recorder.cache_hit(index, job.figure, job.seed, hit_wall)
-            _complete(index, JobOutcome(job=job, rows=rows, record=record))
-        else:
-            payload = (
-                index, job.figure, job.seed, job.params, trace_dir,
-                profile, telemetry_dir, telemetry_interval,
-                key, stream_root, chunk_rows,
-            )
-            if recorder is not None:
-                recorder.job_submitted(
-                    index, job.figure, job.seed, position=len(pending)
-                )
-                payload = payload + (recorder.span_context(index),)
-            pending.append(payload)
 
     def _finish(index: int, result: dict[str, Any]) -> None:
         job = jobs[index]
         status = result.get("status", STATUS_OK)
-        timings: dict[str, Any] = {}
-        if recorder is not None:
-            if status in OK_STATUSES:
-                # Failed/timed-out attempts closed inside the backend
-                # (charge_failure); successes close here, where the
-                # engine first sees the result.
-                recorder.attempt_end(
-                    index,
-                    outcome="ok",
-                    wall_s=result.get("wall_time_s"),
-                    pid=result.get("worker_pid"),
-                )
-            timings = recorder.timings_for(index)
-            timings["span"] = recorder.span_for(index)
+        if trace is not None and status in OK_STATUSES:
+            # Failed/timed-out attempts closed inside the backend
+            # (charge_failure); successes close here, where the engine
+            # first sees the result.
+            trace.emit(
+                "attempt_end", job=index, figure=job.figure,
+                attempt=result.get("attempts", 1), outcome="ok",
+                wall_s=result.get("wall_time_s"),
+                pid=result.get("worker_pid"),
+            )
+        timings = trace.timeline.timings(index) if traced else {}
+        common = dict(
+            figure=job.figure,
+            seed=job.seed,
+            params=job.params_dict,
+            key=keys[index],
+            cached=False,
+            backend=backend_name,
+            attempts=result.get("attempts", 1),
+            **timings,
+        )
         if status in OK_STATUSES:
             rows: Rows | LazyRows
             if "row_chunks" in result:
@@ -682,11 +664,7 @@ def run_jobs(
                         params=job.params_dict,
                     )
             record = JobRecord(
-                figure=job.figure,
-                seed=job.seed,
-                params=job.params_dict,
-                key=keys[index],
-                cached=False,
+                **common,
                 wall_time_s=result["wall_time_s"],
                 rows=len(rows),
                 stats=result["stats"],
@@ -696,110 +674,110 @@ def run_jobs(
                 verdict=result.get("verdict"),
                 telemetry=result.get("telemetry"),
                 telemetry_path=result.get("telemetry_path"),
-                backend=backend_name,
                 row_chunks=result.get("row_chunks"),
-                attempts=result.get("attempts", 1),
-                queue_s=timings.get("queue_s"),
-                compute_s=timings.get("compute_s"),
-                attempt_timings=timings.get("attempt_timings"),
-                span=timings.get("span"),
             )
         else:
             # Failed or timed out after exhausting the retry budget: the
             # cell contributes an empty Rows and a diagnostic record, and
             # the sweep carries on.
             record = JobRecord(
-                figure=job.figure,
-                seed=job.seed,
-                params=job.params_dict,
-                key=keys[index],
-                cached=False,
+                **common,
                 wall_time_s=result.get("wall_time_s", 0.0),
                 rows=0,
                 status=status,
                 error=result.get("error"),
                 traceback=result.get("traceback"),
-                backend=backend_name,
-                attempts=result.get("attempts", 1),
-                queue_s=timings.get("queue_s"),
-                compute_s=timings.get("compute_s"),
-                attempt_timings=timings.get("attempt_timings"),
-                span=timings.get("span"),
             )
             rows = Rows()
         _complete(index, JobOutcome(job=job, rows=rows, record=record))
 
-    def _on_event(kind: str, task: Task | None, info: Any = None) -> None:
-        # Fan the backend's lifecycle channel out to both consumers: the
-        # status heartbeat (start/retry only) and the sweep-trace
-        # recorder (everything).  ``task`` is None for worker-level
-        # events, which only the recorder cares about.
-        if recorder is not None:
-            recorder.handle(kind, task, info)
-        if status is None or task is None:
-            return
-        job = jobs[task.index]
-        label = " ".join(
-            [job.figure, f"seed={job.seed}"]
-            + [f"{k}={v}" for k, v in job.params]
-        )
-        if kind == "start":
-            status.job_started(task.index, label)
-        elif kind == "retry":
-            status.job_retried(task.index, label)
-
-    if pending:
-        tasks = [
-            Task(
-                index=payload[0],
-                payload=payload,
-                key=keys[payload[0]],
-                figure=payload[1],
-            )
-            for payload in pending
+    pending: list[
+        tuple[
+            int, str, int, tuple[tuple[str, Any], ...], str | None, bool,
+            str | None, int, str, str | None, int,
         ]
-        on_event = (
-            _on_event
-            if status is not None or recorder is not None
-            else None
-        )
-        if chosen is None:
-            # Auto: tiny sweeps run serially in-process (no pool
-            # overhead, trivially debuggable); timeouts force the pool —
-            # a hung job can only be killed from outside its process.
-            inline = (
-                min(workers, len(pending)) <= 1 and policy.timeout_s is None
-            )
-            chosen = (
-                SerialBackend() if inline
-                else LocalPoolBackend(workers=max(workers, 1))
-            )
-        backend_name = chosen.name
-        if status is not None:
-            status.backend = backend_name
-        chosen.run(tasks, _compute, policy, _finish, on_event=on_event)
+    ] = []
+    try:
+        for index, (job, key) in enumerate(zip(jobs, keys)):
+            hit_start = time.perf_counter()
+            rows = cache.get(key) if servable(key) else None
+            if rows is not None:
+                # Verdicts are a pure function of the rows, so cache hits are
+                # re-judged rather than recomputed.
+                judge = get_spec(job.figure).verdict
+                verdict = judge(rows) if judge is not None else None
+                # The record carries the *actual* cache-service time (lookup
+                # + re-judging), not a hard-coded 0.0: consumers computing
+                # ETAs must exclude hits by their ``cached``/``status``
+                # marking, not rely on a zero sentinel deflating the mean.
+                hit_wall = time.perf_counter() - hit_start
+                if trace is not None:
+                    trace.emit(
+                        "cache_hit", job=index, figure=job.figure,
+                        seed=job.seed, wall_s=round(hit_wall, 6),
+                    )
+                record = JobRecord(
+                    figure=job.figure,
+                    seed=job.seed,
+                    params=job.params_dict,
+                    key=key,
+                    cached=True,
+                    wall_time_s=hit_wall,
+                    rows=len(rows),
+                    verdict=verdict,
+                    status=STATUS_CACHED,
+                    span=trace.spans[index] if traced else None,
+                )
+                _complete(index, JobOutcome(job=job, rows=rows, record=record))
+            else:
+                payload = (
+                    index, job.figure, job.seed, job.params, trace_dir,
+                    profile, telemetry_dir, telemetry_interval,
+                    key, stream_root, chunk_rows,
+                )
+                if trace is not None:
+                    trace.emit(
+                        "submitted", job=index, figure=job.figure,
+                        seed=job.seed, key=key,
+                    )
+                    trace.emit("queued", job=index, position=len(pending))
+                if traced:
+                    payload = payload + (trace.span_context(index),)
+                pending.append(payload)
 
-    done = [outcome for outcome in outcomes if outcome is not None]
-    manifest = RunManifest(
-        workers=workers,
-        cache_dir=str(cache.root) if cache is not None else None,
-        wall_time_s=time.perf_counter() - start,
-        records=[outcome.record for outcome in done],
-    )
-    result = SweepResult(outcomes=done, manifest=manifest)
-    if checkpoint is not None:
-        _flush_checkpoint()
-    if status is not None:
-        status.finalize()
-    if recorder is not None:
-        records = manifest.records
-        recorder.finalize(
-            wall_s=manifest.wall_time_s,
-            ok=sum(
-                1 for r in records if r.status == STATUS_OK and not r.cached
-            ),
-            failed=manifest.failed,
-            cached=manifest.cache_hits,
-            backend=backend_name,
+        if pending:
+            tasks = [
+                Task(
+                    index=payload[0],
+                    payload=payload,
+                    key=keys[payload[0]],
+                    figure=payload[1],
+                )
+                for payload in pending
+            ]
+            backend_name = chosen.name
+            chosen.run(
+                tasks, _compute, policy, _finish,
+                on_event=trace.emit if trace is not None else None,
+            )
+
+        done = [outcome for outcome in outcomes if outcome is not None]
+        manifest = RunManifest(
+            workers=workers,
+            cache_dir=str(cache.root) if cache is not None else None,
+            wall_time_s=time.perf_counter() - start,
+            records=[outcome.record for outcome in done],
         )
-    return result
+        if checkpoint is not None:
+            _flush_checkpoint()
+        if trace is not None:
+            tl = trace.timeline
+            trace.emit(
+                "sweep_end", trace=trace.trace, backend=chosen.name,
+                ok=tl.ok, failed=tl.failed, cached=tl.cached,
+                wall_s=round(manifest.wall_time_s, 6),
+            )
+    finally:
+        if trace is not None:
+            trace.close()
+    return SweepResult(outcomes=done, manifest=manifest)

@@ -84,6 +84,11 @@ class Task:
     attempts: int = 0
     started_at: float = field(default=0.0, repr=False)
 
+    def trace_fields(self) -> dict[str, Any]:
+        """The job fields of this task's attempt-level trace events."""
+        return {"job": self.index, "figure": self.figure,
+                "attempt": self.attempts}
+
 
 def guard(compute: Callable[[Any], tuple[int, dict]], payload: Any):
     """Run ``compute`` in a worker, converting exceptions to failure dicts.

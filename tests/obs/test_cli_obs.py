@@ -11,7 +11,9 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.obs.history import BenchHistory, BenchReport, BenchSample
-from repro.obs.status import STATUS_FILENAME, SweepStatus
+from repro.obs.status import STATUS_FILENAME, snapshot
+
+from .heartbeat import end_job, end_sweep, start_fold
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,27 +208,18 @@ class TestObsTail:
         assert "Traceback" not in err
 
     def test_tail_prints_one_status_line(self, tmp_path, capsys):
-        from repro.runner import JobRecord
-
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=2, workers=1)
-        status.job_finished(0, JobRecord(
-            figure="fig1", seed=0, params={}, key="k", cached=False,
-            wall_time_s=0.4, rows=13,
-        ))
-        status.finalize()
+        fold = start_fold(tmp_path / STATUS_FILENAME, total=2, workers=1)
+        end_job(fold, 0, "ok", wall=0.4)
+        end_sweep(fold)
         assert main(["obs", "tail", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "[1/2] ok=1 cached=0 failed=0" in out
 
     def test_tail_exit_degraded_on_failures(self, tmp_path, capsys):
-        from repro.runner import JobRecord
-
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=1)
-        status.job_finished(0, JobRecord(
-            figure="fig6", seed=0, params={}, key="k", cached=False,
-            wall_time_s=0.4, rows=0, status="failed", error="boom",
-        ))
-        status.finalize()
+        fold = start_fold(tmp_path / STATUS_FILENAME, total=1,
+                          figures=("fig6",))
+        end_job(fold, 0, "failed", wall=0.4, error="boom")
+        end_sweep(fold)
         assert main(["obs", "tail", str(tmp_path / STATUS_FILENAME)]) == 3
 
 
@@ -282,6 +275,27 @@ class TestSweepHeartbeat:
         ]) == 0
         assert json.loads(target.read_text())["state"] == "done"
 
+    def test_last_error_names_the_failing_param_cell(self, tmp_path):
+        # A --param grid over one figure: only the params tell its cells
+        # apart, so last_error carries them like the in-flight labels.
+        from ..runner.faulty import FLAKY, registered
+
+        fixed, broken = tmp_path / "fixed", tmp_path / "broken"
+        fixed.write_text("")
+        with registered(FLAKY):
+            code = main([
+                "sweep", "test-flaky", "--no-cache", "--jobs", "1",
+                "--param", f"marker={fixed},{broken}",
+                "--manifest", str(tmp_path / "run" / "manifest.json"),
+            ])
+        assert code == 3
+        status = json.loads((tmp_path / "run" / STATUS_FILENAME).read_text())
+        assert (status["ok"], status["failed"]) == (1, 1)
+        assert status["last_error"].startswith(
+            f"test-flaky seed=0 marker={broken}: "
+        )
+        assert "flaky: first attempt fails" in status["last_error"]
+
 class TestObsTailFollowReplace:
     def test_follow_survives_atomic_replacement_and_reloads(
         self, tmp_path, capsys
@@ -289,20 +303,15 @@ class TestObsTailFollowReplace:
         import os
         import threading
 
-        from repro.runner import JobRecord
-
         path = tmp_path / STATUS_FILENAME
-        running = SweepStatus(path, total=1, workers=1)
+        running = start_fold(path, total=1, workers=1)
 
         def replace_with_finished():
             # Simulate a second writer atomically replacing the status
             # file (new inode) while the follower is mid-poll.
-            done = SweepStatus(tmp_path / "next.json", total=1, workers=1)
-            done.job_finished(0, JobRecord(
-                figure="fig1", seed=0, params={}, key="k", cached=False,
-                wall_time_s=0.1, rows=3,
-            ))
-            done.finalize()
+            done = start_fold(tmp_path / "next.json", total=1, workers=1)
+            end_job(done, 0, "ok", wall=0.1)
+            end_sweep(done)
             os.replace(tmp_path / "next.json", path)
 
         timer = threading.Timer(0.25, replace_with_finished)
@@ -320,24 +329,20 @@ class TestObsTailFollowReplace:
         assert "[0/1]" in out
         assert "[1/1] ok=1" in out
         assert "done" in out
-        assert running.state == "running"  # original writer untouched
+        # original writer untouched
+        assert snapshot(running.timeline)["state"] == "running"
 
     def test_follow_tolerates_briefly_missing_file(self, tmp_path, capsys):
         import threading
 
-        from repro.runner import JobRecord
-
         path = tmp_path / STATUS_FILENAME
-        SweepStatus(path, total=1, workers=1)
+        start_fold(path, total=1, workers=1)
 
         def vanish_then_return():
             path.unlink()
-            status = SweepStatus(path, total=1, workers=1)
-            status.job_finished(0, JobRecord(
-                figure="fig1", seed=0, params={}, key="k", cached=False,
-                wall_time_s=0.1, rows=3,
-            ))
-            status.finalize()
+            fold = start_fold(path, total=1, workers=1)
+            end_job(fold, 0, "ok", wall=0.1)
+            end_sweep(fold)
 
         timer = threading.Timer(0.25, vanish_then_return)
         timer.start()

@@ -1,4 +1,4 @@
-"""Live sweep telemetry: the status.json writer and its readers."""
+"""Live sweep telemetry: the status.json projection and its readers."""
 
 import json
 
@@ -10,33 +10,21 @@ from repro.obs.status import (
     STATE_RUNNING,
     STATUS_FILENAME,
     STATUS_SCHEMA,
-    SweepStatus,
     format_status,
     load_status,
     resolve_status_path,
 )
-from repro.runner import JobRecord
 
-
-def make_record(status="ok", wall=0.5, attempts=1, error=None, figure="fig1"):
-    return JobRecord(
-        figure=figure,
-        seed=0,
-        params={},
-        key="k" * 16,
-        cached=status == "cached",
-        wall_time_s=wall,
-        rows=3,
-        status=status,
-        attempts=attempts,
-        error=error,
-    )
+from .heartbeat import end_job, end_sweep, start_fold
 
 
 class TestSweepStatusWriter:
+    """The status file as written by the control-plane fold."""
+
     def test_initial_heartbeat_written_on_construction(self, tmp_path):
+        # Construction of the sweep's record is its sweep_start event.
         path = tmp_path / "run" / STATUS_FILENAME
-        SweepStatus(path, total=4, workers=2)
+        start_fold(path, total=4, workers=2)
         payload = json.loads(path.read_text())
         assert payload["schema"] == STATUS_SCHEMA
         assert payload["state"] == STATE_RUNNING
@@ -46,15 +34,14 @@ class TestSweepStatusWriter:
 
     def test_counts_ok_cached_failed_and_retries(self, tmp_path):
         path = tmp_path / STATUS_FILENAME
-        status = SweepStatus(path, total=3)
-        status.job_started(0, "fig1 seed=0")
+        fold = start_fold(path, total=3, figures=("fig1", "fig1", "fig5"))
+        fold.emit("attempt_start", job=0, figure="fig1", attempt=1)
         assert json.loads(path.read_text())["current"] == ["fig1 seed=0"]
-        status.job_finished(0, make_record("ok"))
-        status.job_finished(1, make_record("cached", wall=0.0))
-        status.job_retried(2, "fig5 seed=0")
-        status.job_finished(
-            2, make_record("failed", attempts=2, error="boom", figure="fig5")
-        )
+        end_job(fold, 0, "ok")
+        end_job(fold, 1, "cached", wall=0.0)
+        fold.emit("attempt_end", job=2, outcome="failed")
+        fold.emit("retry_scheduled", job=2, figure="fig5", attempt=1)
+        end_job(fold, 2, "failed", error="boom")
         payload = json.loads(path.read_text())
         assert payload["done"] == 3
         assert payload["ok"] == 1
@@ -65,43 +52,46 @@ class TestSweepStatusWriter:
         assert payload["last_error"] == "fig5 seed=0: boom"
 
     def test_finalize_states(self, tmp_path):
-        status = SweepStatus(tmp_path / "a.json", total=1)
-        status.job_finished(0, make_record("ok"))
-        status.finalize()
-        assert json.loads(status.path.read_text())["state"] == STATE_DONE
+        fold = start_fold(tmp_path / "a.json", total=1)
+        end_job(fold, 0, "ok")
+        end_sweep(fold)
+        assert json.loads(fold.status_path.read_text())["state"] == STATE_DONE
 
-        status = SweepStatus(tmp_path / "b.json", total=1)
-        status.job_finished(0, make_record("failed", error="x"))
-        status.finalize()
-        assert json.loads(status.path.read_text())["state"] == STATE_DEGRADED
+        fold = start_fold(tmp_path / "b.json", total=1)
+        end_job(fold, 0, "failed", error="x")
+        end_sweep(fold)
+        assert (
+            json.loads(fold.status_path.read_text())["state"]
+            == STATE_DEGRADED
+        )
 
     def test_eta_from_computed_durations_only(self, tmp_path):
-        status = SweepStatus(tmp_path / "s.json", total=4, workers=2)
-        assert status.eta_s() is None
-        status.job_finished(0, make_record("cached", wall=0.0))
-        assert status.eta_s() is None  # cache hits carry no signal
-        status.job_finished(1, make_record("ok", wall=2.0))
+        fold = start_fold(tmp_path / "s.json", total=4, workers=2)
+        assert fold.timeline.eta_s() is None
+        end_job(fold, 0, "cached", wall=0.0)
+        assert fold.timeline.eta_s() is None  # cache hits carry no signal
+        end_job(fold, 1, "ok", wall=2.0)
         # 2 jobs remain, mean 2.0s, 2 workers -> ~2s
-        assert status.eta_s() == pytest.approx(2.0)
+        assert fold.timeline.eta_s() == pytest.approx(2.0)
 
     def test_heartbeat_failure_never_raises(self, tmp_path):
         run_dir = tmp_path / "run"
-        status = SweepStatus(run_dir / STATUS_FILENAME, total=2)
-        status.path = run_dir / "vanished" / STATUS_FILENAME
-        status.job_finished(0, make_record("ok"))  # must not raise
-        status.job_finished(1, make_record("ok"))
-        status.finalize()
+        fold = start_fold(run_dir / STATUS_FILENAME, total=2)
+        fold.status_path = run_dir / "vanished" / STATUS_FILENAME
+        end_job(fold, 0, "ok")  # must not raise
+        end_job(fold, 1, "ok")
+        end_sweep(fold)
 
     def test_no_stale_tmp_files_left_behind(self, tmp_path):
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=1)
-        status.job_finished(0, make_record("ok"))
-        status.finalize()
+        fold = start_fold(tmp_path / STATUS_FILENAME, total=1)
+        end_job(fold, 0, "ok")
+        end_sweep(fold)
         assert [p.name for p in tmp_path.iterdir()] == [STATUS_FILENAME]
 
 
 class TestReaders:
     def test_resolve_accepts_file_or_run_dir(self, tmp_path):
-        SweepStatus(tmp_path / STATUS_FILENAME, total=1)
+        start_fold(tmp_path / STATUS_FILENAME, total=1)
         assert resolve_status_path(tmp_path) == tmp_path / STATUS_FILENAME
         assert (
             resolve_status_path(tmp_path / STATUS_FILENAME)
@@ -121,9 +111,9 @@ class TestReaders:
             load_status(path)
 
     def test_load_round_trip(self, tmp_path):
-        status = SweepStatus(tmp_path / STATUS_FILENAME, total=2)
-        status.job_finished(0, make_record("ok"))
-        payload = load_status(status.path)
+        fold = start_fold(tmp_path / STATUS_FILENAME, total=2)
+        end_job(fold, 0, "ok")
+        payload = load_status(fold.status_path)
         assert payload["done"] == 1 and payload["total"] == 2
 
 

@@ -40,7 +40,7 @@ from repro.runner import (
     run_jobs,
 )
 
-from ..runner.faulty import FLAKY, STEADY, registered
+from ..runner.faulty import BOOM, FLAKY, STEADY, registered
 
 
 class TestDeterministicIds:
@@ -387,3 +387,66 @@ class TestSubprocessSweepTracing:
         ]
         assert end["outcome"] == "ok"
         assert isinstance(end.get("pid"), int)
+
+
+@pytest.mark.parametrize("backend", ["serial", "local-pool:2"])
+class TestOneRecord:
+    """status.json, sweep_end, the manifest and the event file are
+    projections of one fold, so they cannot disagree."""
+
+    def test_views_agree(self, backend, tmp_path):
+        from repro.obs.status import load_status
+
+        cache = ResultCache(tmp_path / "cache")
+        marker = tmp_path / "attempted"
+        events_path = tmp_path / EVENTS_FILENAME
+        status_path = tmp_path / "status.json"
+        with registered(STEADY, FLAKY, BOOM):
+            hit = make_job("test-steady")
+            run_jobs([hit], backend="serial", cache=cache)
+            result = run_jobs(
+                [
+                    hit,
+                    make_job("test-flaky", params={"marker": str(marker)}),
+                    make_job("test-boom"),
+                ],
+                workers=2, backend=backend, cache=cache, retries=1,
+                backoff=0.001, status_path=status_path,
+                sweeptrace=events_path,
+            )
+        records = result.manifest.records
+        manifest_counts = {
+            "ok": sum(1 for r in records if r.status == "ok"),
+            "cached": result.manifest.cache_hits,
+            "failed": result.manifest.failed,
+            "retries": sum(r.attempts - 1 for r in records if not r.cached),
+        }
+        assert manifest_counts == {
+            "ok": 1, "cached": 1, "failed": 1, "retries": 2,
+        }
+        status = load_status(status_path)
+        assert {k: status[k] for k in manifest_counts} == manifest_counts
+        events = load_events(events_path)
+        (end,) = [e for e in events if e["ev"] == "sweep_end"]
+        assert {k: end[k] for k in ("ok", "cached", "failed")} == {
+            k: manifest_counts[k] for k in ("ok", "cached", "failed")
+        }
+        tl = build_timeline(events)
+        assert {
+            "ok": tl.ok, "cached": tl.cached, "failed": tl.failed,
+            "retries": tl.retries,
+        } == manifest_counts
+        assert sorted(
+            e["status"] for e in events if e["ev"] == "job_end"
+        ) == ["cached", "failed", "ok"]
+        # Each record's timings are exactly what the file reconstructs.
+        job_of = {track.span: job for job, track in tl.jobs.items()}
+        for record in records:
+            timings = tl.timings(job_of[record.span])
+            assert record.attempt_timings == timings["attempt_timings"]
+            assert record.queue_s == timings["queue_s"]
+            assert record.compute_s == timings["compute_s"]
+        assert [t["outcome"] for t in records[1].attempt_timings] == [
+            "failed", "ok",
+        ]
+        assert records[0].attempt_timings is None

@@ -419,3 +419,43 @@ class TestStatusHeartbeat:
         assert (
             plain.manifest.records[0].key == beating.manifest.records[0].key
         )
+
+    def test_status_only_records_carry_no_trace_fields(self, tmp_path):
+        result = run_jobs(
+            expand_grid(["fig1"]), workers=1,
+            status_path=tmp_path / "status.json",
+        )
+        (record,) = result.manifest.records
+        assert record.span is None
+        assert record.queue_s is None
+        assert record.attempt_timings is None
+
+    def test_workers_and_eta_follow_the_backend_that_runs(self, tmp_path):
+        # Four workers requested, but the serial backend runs one job at
+        # a time: status, its ETA and the timeline header must say 1.
+        from repro.obs.sweeptrace import build_timeline, load_events
+
+        status_path = tmp_path / "status.json"
+        events_path = tmp_path / "sweep.events.jsonl"
+        seen = []
+
+        def watch(record):
+            seen.append(json.loads(status_path.read_text()))
+
+        jobs = expand_grid(["fig4-delay"], seeds=[0, 1, 2], grid=CHEAP_GRID)
+        result = run_jobs(
+            jobs, workers=4, backend="serial", status_path=status_path,
+            sweeptrace=events_path, progress=watch,
+        )
+        walls = [r.wall_time_s for r in result.manifest.records]
+        assert len(seen) == 3
+        for done, status in enumerate(seen, start=1):
+            assert status["workers"] == 1
+            mean = sum(walls[:done]) / done
+            assert status["eta_s"] == pytest.approx(
+                (3 - done) * mean, abs=1e-3
+            )
+        assert seen[0]["eta_s"] > 0
+        final = json.loads(status_path.read_text())
+        assert (final["workers"], final["eta_s"]) == (1, 0.0)
+        assert build_timeline(load_events(events_path)).workers == 1
