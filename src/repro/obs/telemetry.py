@@ -26,7 +26,7 @@ Activation follows the ``obs.capture()`` null-object pattern: components
 ask :func:`repro.obs.get_telemetry` for the active
 :class:`TelemetryHub` *at construction time* and keep ``None`` when
 telemetry is off, so the hot path pays one attribute load and an
-``is not None`` test — ``Simulator._run_fast`` is untouched.
+``is not None`` test — the simulator's run loops are untouched.
 
 Determinism contract: the hub never draws from simulation RNG streams
 and never schedules events.  The sampling decision is a pure

@@ -19,10 +19,17 @@ Two interchangeable backends implement the :class:`Scheduler` protocol:
   order; ``tests/properties`` asserts the equivalence on randomized
   workloads.
 
+The simulator consumes a backend in one of two ways.  Its reference loop
+calls ``peek_time``/``pop`` one event at a time and works on any
+backend.  Its in-place loop, taken only for :class:`CalendarQueue`,
+reads the bucket table directly and takes the head event of the earliest
+instant — the event ``pop`` would return — so a same-instant push from a
+callback simply joins the live bucket.
+
 Both backends maintain a free list of fired :class:`Event` objects so
 steady-state simulation allocates no new events.  Recycling is guarded
-by a CPython reference-count check (:func:`_refcount_is_private`): an
-event is only returned to the pool when the scheduler can prove no
+by a CPython reference-count check (``reclaim``, and its copy inlined in
+the in-place loop): an event is only returned to the pool when no
 outside code still holds it, so a retained handle (e.g. a watchdog's
 pending-timeout event) is never reused under the holder's feet.
 """
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 #: Default scheduling priority.  Lower values fire first at equal times.
 PRIORITY_NORMAL = 0
@@ -96,15 +103,11 @@ class Scheduler(Protocol):
     """The pluggable event-scheduling backend behind :class:`Simulator`.
 
     Implementations must pop in ``(time, priority, sequence)`` order and
-    support lazy cancellation.  ``pop_batch``/``requeue``/``batch_dirty``
-    exist so the simulator run loop can drain all events of one instant
-    in a single call (batched timer firing) while staying bit-identical
-    with one-at-a-time popping.
+    support lazy cancellation.  The simulator's reference run loop needs
+    only ``peek_time`` and ``pop``; the default :class:`CalendarQueue` is
+    additionally drained in place by the simulator's own loop, which
+    reads its internals and so is not part of this protocol.
     """
-
-    #: Set by ``push`` whenever an event lands at or before the time of
-    #: the batch currently being drained (see :meth:`pop_batch`).
-    batch_dirty: bool
 
     def push(
         self,
@@ -119,27 +122,8 @@ class Scheduler(Protocol):
         """Remove and return the earliest live event (IndexError if none)."""
         ...
 
-    def pop_batch(self, until: int | None = None) -> list[Event]:
-        """Remove and return *all* live events at the earliest instant.
-
-        Returns ``[]`` when the queue is drained or the earliest event
-        lies beyond ``until``.  Resets :attr:`batch_dirty`; a subsequent
-        ``push`` at or before the batch's time sets it again, signalling
-        the caller to :meth:`requeue` the unexecuted remainder so the
-        total order is preserved.
-        """
-        ...
-
-    def requeue(self, events: Iterable[Event | None]) -> None:
-        """Reinsert not-yet-executed batch events, keeping their order keys."""
-        ...
-
     def peek_time(self) -> int | None:
         """Time of the earliest live event, or ``None`` if empty."""
-        ...
-
-    def reclaim(self, event: Event) -> None:
-        """Offer a fired event back to the free pool (best effort)."""
         ...
 
     def __len__(self) -> int:
@@ -210,13 +194,11 @@ class _PooledEvents:
 class EventQueue(_PooledEvents):
     """The reference backend: a deterministic binary heap of events."""
 
-    __slots__ = ("_heap", "_drain_time", "batch_dirty")
+    __slots__ = ("_heap",)
 
     def __init__(self) -> None:
         super().__init__()
         self._heap: list[Event] = []
-        self._drain_time = -1
-        self.batch_dirty = False
 
     def __len__(self) -> int:
         return sum(1 for event in self._heap if not event.cancelled)
@@ -235,8 +217,6 @@ class EventQueue(_PooledEvents):
             raise ValueError(f"event time must be non-negative, got {time}")
         event = self._new_event(time, callback, priority)
         heapq.heappush(self._heap, event)
-        if time <= self._drain_time:
-            self.batch_dirty = True
         return event
 
     def pop(self) -> Event:
@@ -252,35 +232,6 @@ class EventQueue(_PooledEvents):
             self.reclaim(event)
         raise IndexError("pop from empty event queue")
 
-    def pop_batch(self, until: int | None = None) -> list[Event]:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            # Bind a local before reclaiming: the refcount guard counts on
-            # exactly one caller-held reference (see _PRIVATE_REFS).
-            event = heapq.heappop(heap)
-            self.reclaim(event)
-        if not heap:
-            return []
-        time = heap[0].time
-        if until is not None and time > until:
-            return []
-        batch: list[Event] = []
-        while heap and heap[0].time == time:
-            event = heapq.heappop(heap)
-            if event.cancelled:
-                self.reclaim(event)
-            else:
-                batch.append(event)
-        self._drain_time = time
-        self.batch_dirty = False
-        return batch
-
-    def requeue(self, events: Iterable[Event | None]) -> None:
-        heap = self._heap
-        for event in events:
-            if event is not None and not event.cancelled:
-                heapq.heappush(heap, event)
-
     def peek_time(self) -> int | None:
         """Return the time of the earliest live event, or ``None`` if empty."""
         heap = self._heap
@@ -295,8 +246,6 @@ class EventQueue(_PooledEvents):
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
-        self._drain_time = -1
-        self.batch_dirty = False
 
 
 class _Bucket:
@@ -329,15 +278,13 @@ class CalendarQueue(_PooledEvents):
     priorities land on one instant.
     """
 
-    __slots__ = ("_buckets", "_times", "_drain_time", "batch_dirty")
+    __slots__ = ("_buckets", "_times")
 
     def __init__(self) -> None:
         super().__init__()
         #: time -> single Event, or a _Bucket once an instant has >1.
         self._buckets: dict[int, Event | _Bucket] = {}
         self._times: list[int] = []
-        self._drain_time = -1
-        self.batch_dirty = False
 
     def __len__(self) -> int:
         count = 0
@@ -397,30 +344,7 @@ class CalendarQueue(_PooledEvents):
                 bucket.ordered = False
             bucket.events.append(event)
             buckets[time] = bucket
-        if time <= self._drain_time:
-            self.batch_dirty = True
         return event
-
-    def _insert_existing(self, event: Event) -> None:
-        """Reinsert an event that keeps its original ``sequence``."""
-        time = event.time
-        buckets = self._buckets
-        entry = buckets.get(time)
-        if entry is None:
-            buckets[time] = event
-            heapq.heappush(self._times, time)
-        elif entry.__class__ is _Bucket:
-            events = entry.events
-            last = events[-1]
-            if last is not None and _bucket_key(event) < _bucket_key(last):
-                entry.ordered = False
-            events.append(event)
-        else:
-            bucket = _Bucket(entry)
-            if _bucket_key(event) < _bucket_key(entry):
-                bucket.ordered = False
-            bucket.events.append(event)
-            buckets[time] = bucket
 
     def _live_head(self) -> tuple[int, Event | _Bucket] | None:
         """Earliest entry with a live event, or ``None``.
@@ -444,9 +368,9 @@ class CalendarQueue(_PooledEvents):
             bucket = entry
             events = bucket.events
             if not bucket.ordered:
-                tail = events[bucket.head :]
-                tail.sort(key=_bucket_key)
-                events[bucket.head :] = tail
+                events[bucket.head :] = sorted(
+                    events[bucket.head :], key=_bucket_key
+                )
                 bucket.ordered = True
             head = bucket.head
             size = len(events)
@@ -483,48 +407,6 @@ class CalendarQueue(_PooledEvents):
         entry.head = head + 1
         return event
 
-    def pop_batch(self, until: int | None = None) -> list[Event]:
-        times = self._times
-        if not times:
-            return []
-        buckets = self._buckets
-        time = times[0]
-        entry = buckets[time]
-        if entry.__class__ is not _Bucket and not entry.cancelled:
-            # Fast path: a live singleton at the head, no scan needed.
-            if until is not None and time > until:
-                return []
-            heapq.heappop(times)
-            del buckets[time]
-            self._drain_time = time
-            self.batch_dirty = False
-            return [entry]
-        found = self._live_head()
-        if found is None:
-            return []
-        time, entry = found
-        if until is not None and time > until:
-            return []
-        # The whole instant is consumed: retire it so same-instant pushes
-        # made by batch callbacks start a fresh entry (and set
-        # ``batch_dirty`` via the ``_drain_time`` check in push).
-        heapq.heappop(self._times)
-        del self._buckets[time]
-        self._drain_time = time
-        self.batch_dirty = False
-        if entry.__class__ is not _Bucket:
-            return [entry]
-        return [
-            event
-            for event in entry.events[entry.head :]
-            if event is not None and not event.cancelled
-        ]
-
-    def requeue(self, events: Iterable[Event | None]) -> None:
-        for event in events:
-            if event is not None and not event.cancelled:
-                self._insert_existing(event)
-
     def peek_time(self) -> int | None:
         """Return the time of the earliest live event, or ``None`` if empty."""
         found = self._live_head()
@@ -536,8 +418,6 @@ class CalendarQueue(_PooledEvents):
         """Drop every pending event."""
         self._buckets.clear()
         self._times.clear()
-        self._drain_time = -1
-        self.batch_dirty = False
 
 
 #: Name -> backend class.  ``Simulator(scheduler=...)`` resolves through

@@ -13,12 +13,14 @@ Components interact with it in two styles:
 Both styles coexist; the fieldbus and PLC models use processes for their
 cyclic behaviour, while packet forwarding uses plain callbacks.
 
-The event loop has two paths.  With no profiler attached and no tracer
-active, :meth:`Simulator.run` takes a zero-overhead fast path: events of
-one instant are drained in a single batched scheduler call, fired events
-are recycled into the scheduler's free pool, and no observability code
-runs at all.  With a profiler or tracer active it falls back to the
-instrumented per-event loop.
+The event loop has two paths.  On the default calendar backend, with no
+profiler attached and no tracer active, :meth:`Simulator.run` takes the
+in-place loop: it pops the head event of the earliest instant straight
+from the queue's buckets, fires it, recycles it into the scheduler's free
+pool, and runs no observability code at all.  Every other case — the
+heap backend, a foreign scheduler, a profiler or tracer — runs the
+per-event ``peek_time``/``pop`` reference loop.  Both fire events in
+``(time, priority, sequence)`` order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .events import (
     _Bucket,
     _INLINE_REFS,
     _POOL_LIMIT,
+    _bucket_key,
     _getrefcount,
     make_scheduler,
 )
@@ -162,85 +165,6 @@ class Process:
             )
 
 
-def _specialize_schedule(sim: "Simulator", queue: CalendarQueue):
-    """Build a ``schedule`` closure with ``CalendarQueue.push`` inlined.
-
-    ``Simulator.__init__`` binds the result as an *instance* attribute when
-    the default backend is in use, shadowing the generic method and
-    removing one call boundary from the hottest path in the repo.  The
-    semantics — argument validation, stats accounting, and insertion
-    order — are identical to :meth:`Simulator.schedule`
-    followed by :meth:`CalendarQueue.push`; the scheduler-equivalence
-    property suite drives both forms.
-    """
-    buckets = queue._buckets
-    times = queue._times
-    free = queue._free
-    heappush = heapq.heappush
-    stats = sim.stats
-
-    def schedule(
-        target: Callable[[], Any],
-        *,
-        after: int | None = None,
-        at: int | None = None,
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        now = sim._now
-        if after is not None:
-            if at is not None:
-                raise TypeError(
-                    "schedule() takes either 'after' or 'at', not both"
-                )
-            if after < 0:
-                raise SimulationError(f"negative delay {after}")
-            time = now + after
-        elif at is None:
-            time = now
-        else:
-            if at < now:
-                raise SimulationError(
-                    f"cannot schedule at {at}, current time is {now}"
-                )
-            time = at
-        stats.events_scheduled += 1
-        # -- inlined CalendarQueue.push (time >= now >= 0 by the checks
-        # above, so the push-side validation is already satisfied) ------
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = target
-            event.cancelled = False
-        else:
-            event = Event(time, priority, sequence, target)
-        entry = buckets.get(time)
-        if entry is None:
-            buckets[time] = event
-            heappush(times, time)
-        elif entry.__class__ is _Bucket:
-            events = entry.events
-            last = events[-1]
-            if last is not None and priority < last.priority:
-                entry.ordered = False
-            events.append(event)
-        else:
-            bucket = _Bucket(entry)
-            if priority < entry.priority:
-                bucket.ordered = False
-            bucket.events.append(event)
-            buckets[time] = bucket
-        if time <= queue._drain_time:
-            queue.batch_dirty = True
-        return event
-
-    schedule.__doc__ = Simulator.schedule.__doc__
-    return schedule
-
-
 class Simulator:
     """Deterministic discrete-event simulator with integer-ns time."""
 
@@ -273,9 +197,6 @@ class Simulator:
         #: Event-loop counters; aggregated across simulators by
         #: :func:`repro.simcore.stats.collect`.
         self.stats = SimStats(simulators=1)
-        if self._queue.__class__ is CalendarQueue:
-            # Shadow the generic method with a push-inlined closure.
-            self.schedule = _specialize_schedule(self, self._queue)
         #: Per-callback wall-time attribution; ``None`` (the default)
         #: keeps the event loop on the unwrapped fast path.  Set by
         #: :meth:`repro.obs.Profiler.attach` or inherited from an open
@@ -360,150 +281,89 @@ class Simulator:
             )
         self._running = True
         # Snapshot per-run observability state (attaching mid-run takes
-        # effect on the next `run` call).  With no profiler and the null
-        # tracer the loop below is the zero-overhead fast path.
+        # effect on the next `run` call).
         profiler = self._profiler
         tracer = _obs.get_tracer()
         executed = 0
+        queue = self._queue
         try:
-            if profiler is None and tracer is NULL_TRACER:
-                executed = self._run_fast(until)
+            if (
+                profiler is None
+                and tracer is NULL_TRACER
+                and queue.__class__ is CalendarQueue
+                and _getrefcount is not None
+            ):
+                executed = self._run_calendar(queue, until)
                 if until is not None and until > self._now:
                     self._now = until
             else:
-                executed = self._run_instrumented(until, profiler, tracer)
+                executed = self._run_reference(until, profiler, tracer)
         finally:
             self._running = False
             self.stats.events_executed += executed
             self.stats.sim_time_ns = self._now
         return self._now
 
-    def _run_fast(self, until: int | None) -> int:
-        """Uninstrumented event loop: batched firing, event recycling."""
-        queue = self._queue
-        if queue.__class__ is CalendarQueue and _getrefcount is not None:
-            return self._run_fast_calendar(queue, until)
-        pop_batch = queue.pop_batch
-        requeue = queue.requeue
-        reclaim = queue.reclaim
-        # Inline the free-pool reclaim for our own pooled backends; a
-        # foreign Scheduler (no ``_free``) falls back to its reclaim().
-        grc = _getrefcount
-        free = getattr(queue, "_free", None) if grc is not None else None
-        executed = 0
-        while True:
-            batch = pop_batch(until)
-            if not batch:
-                break
-            self._now = batch[0].time
-            size = len(batch)
-            if size == 1:
-                # Dominant case: one event at this instant.  Drop the
-                # batch list before reclaiming so the pool's refcount
-                # guard sees only this frame's reference.
-                event = batch[0]
-                batch = None
-                if not event.cancelled:
-                    event.callback()
-                    executed += 1
-                if free is None:
-                    reclaim(event)
-                elif grc(event) == _INLINE_REFS:
-                    event.callback = None
-                    if len(free) < _POOL_LIMIT:
-                        free.append(event)
-                continue
-            index = 0
-            while index < size:
-                event = batch[index]
-                batch[index] = None  # drop the list's ref so reclaim works
-                index += 1
-                if event.cancelled:
-                    # Cancelled mid-batch by an earlier callback.
-                    reclaim(event)
-                    continue
-                callback = event.callback
-                callback()
-                executed += 1
-                reclaim(event)
-                if queue.batch_dirty and index < size:
-                    # A callback scheduled at (or before) this instant; the
-                    # new event may order before the unexecuted remainder,
-                    # so push the rest back and re-pop the merged batch.
-                    requeue(batch[index:])
-                    break
-        return executed
+    def _run_calendar(self, queue: CalendarQueue, until: int | None) -> int:
+        """Uninstrumented loop: pop the head event in place, recycle it.
 
-    def _run_fast_calendar(
-        self, queue: CalendarQueue, until: int | None
-    ) -> int:
-        """:meth:`_run_fast` specialised for the default backend.
-
-        The dominant shape — a live singleton event at the head instant —
-        is popped and recycled entirely inside this frame, skipping the
-        ``pop_batch``/``reclaim`` calls and the one-element batch list.
-        Multi-event instants and cancelled heads fall back to the generic
-        batched drain, so the firing order is identical to
-        :meth:`_run_fast` on any backend.
+        Each step takes exactly the event :meth:`CalendarQueue.pop` would
+        return, straight from the queue's buckets, so the firing order is
+        the reference order.  A same-instant push from a callback lands in
+        the live bucket and is sorted into its unfired tail on the next
+        step; a callback that raises leaves the rest of its instant queued.
         """
         times = queue._times
         buckets = queue._buckets
         free = queue._free
-        pop_batch = queue.pop_batch
-        requeue = queue.requeue
-        reclaim = queue.reclaim
         heappop = heapq.heappop
         grc = _getrefcount
         executed = 0
         while times:
             time = times[0]
-            entry = buckets[time]
-            if entry.__class__ is _Bucket or entry.cancelled:
-                # Rare shapes: multi-event instant or a cancelled head.
-                # Drop our handle on the bucket first — it pins every
-                # batch event and would defeat the reclaim refcount guard.
-                entry = None
-                batch = pop_batch(until)
-                if not batch:
-                    break
-                self._now = batch[0].time
-                size = len(batch)
-                index = 0
-                while index < size:
-                    event = batch[index]
-                    batch[index] = None
-                    index += 1
-                    if event.cancelled:
-                        reclaim(event)
-                        continue
-                    event.callback()
-                    executed += 1
-                    reclaim(event)
-                    if queue.batch_dirty and index < size:
-                        requeue(batch[index:])
-                        break
-                continue
             if until is not None and time > until:
                 break
-            heappop(times)
-            del buckets[time]
-            queue._drain_time = time
-            queue.batch_dirty = False
-            self._now = time
-            entry.callback()
-            executed += 1
+            event = buckets[time]
+            if event.__class__ is _Bucket:
+                bucket = event
+                events = bucket.events
+                head = bucket.head
+                if head == len(events):
+                    # Every event of the instant is gone: retire it.
+                    heappop(times)
+                    del buckets[time]
+                    continue
+                if not bucket.ordered:
+                    # No local may keep the sorted tail: it would pin the
+                    # events and defeat the refcount guard below.
+                    events[head:] = sorted(events[head:], key=_bucket_key)
+                    bucket.ordered = True
+                event = events[head]
+                events[head] = None
+                bucket.head = head + 1
+            else:
+                heappop(times)
+                del buckets[time]
+            if not event.cancelled:
+                self._now = time
+                event.callback()
+                executed += 1
             # Inlined reclaim (see events._INLINE_REFS): pool the event
             # unless outside code still holds a reference to it.
-            if grc(entry) == _INLINE_REFS:
-                entry.callback = None
+            if grc(event) == _INLINE_REFS:
+                event.callback = None
                 if len(free) < _POOL_LIMIT:
-                    free.append(entry)
+                    free.append(event)
         return executed
 
-    def _run_instrumented(
-        self, until: int | None, profiler, tracer
-    ) -> int:
-        """Per-event loop with tracer span and profiler attribution."""
+    def _run_reference(self, until: int | None, profiler, tracer) -> int:
+        """Per-event ``peek_time``/``pop`` loop on any :class:`Scheduler`.
+
+        Runs every case :meth:`_run_calendar` does not cover: the heap
+        backend, a foreign scheduler, an attached profiler or active
+        tracer, or an interpreter without ``sys.getrefcount``.  It is the
+        reference the heap/calendar equivalence suite compares against.
+        """
         queue = self._queue
         executed = 0
         span = tracer.span("sim.run", start_ns=self._now, until_ns=until)

@@ -4,10 +4,12 @@ The calendar queue is the default backend purely as an optimization: it
 must be *observationally identical* to the reference binary heap.  These
 properties drive both backends with the same randomized workloads and
 assert the pop streams match element-for-element on the documented total
-order ``(time, priority, sequence)`` — including under cancellation,
-interleaved pops, and batch draining.
+order ``(time, priority, sequence)`` — including under cancellation and
+interleaved pops.  Whole-``Simulator`` runs compare the calendar queue's
+in-place run loop against the heap backend's reference loop.
 """
 
+import itertools
 import random
 
 import pytest
@@ -73,32 +75,6 @@ def drive(backend, ops):
     return popped
 
 
-def drive_batched(backend, ops):
-    """Same workload, drained through ``pop_batch`` instead of ``pop``."""
-    queue = backend()
-    events = {}
-    for op in ops:
-        if op[0] == "push":
-            _, time, priority, tag = op
-            events[tag] = queue.push(
-                time, callback=lambda t=tag: t, priority=priority
-            )
-        elif op[0] == "cancel":
-            events[op[1]].cancel()
-        else:
-            batch = queue.pop_batch()
-            # Put all but the first back so single pops stay comparable.
-            if len(batch) > 1:
-                queue.requeue(batch[1:])
-    popped = []
-    while queue:
-        for event in queue.pop_batch():
-            popped.append(
-                (event.time, event.priority, event.sequence, event.callback())
-            )
-    return popped
-
-
 class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", trial_seeds(9000))
     def test_identical_pop_order_under_random_workloads(self, seed):
@@ -107,42 +83,59 @@ class TestBackendEquivalence:
             f"trial seed {seed}"
         )
 
-    @pytest.mark.parametrize("seed", trial_seeds(9500))
-    def test_batch_draining_matches_across_backends(self, seed):
-        ops = random_workload(random.Random(seed))
-        assert drive_batched(EventQueue, ops) == drive_batched(
-            CalendarQueue, ops
-        ), f"trial seed {seed}"
-
     @pytest.mark.parametrize("seed", trial_seeds(9900)[:8])
     def test_full_simulator_runs_identically_on_both_backends(self, seed):
         def run(backend_name):
             rng = random.Random(seed)
             sim = Simulator(scheduler=backend_name)
+            # Three events start at each of six instants; the run()
+            # boundaries below land on two of them.
+            instants = sorted(rng.sample(range(0, 2 * MS, 50 * US), 6))
+            ids = itertools.count()
+            pending = {}
             fired = []
+            cancels = []
+
+            def schedule(depth, **when):
+                tag = next(ids)
+                event = sim.schedule(
+                    lambda: tick(tag, depth),
+                    priority=rng.choice((-10, 0, 10)),
+                    **when,
+                )
+                if depth < 4:
+                    # Only rescheduled events are cancel targets, so the
+                    # three starts at each run() boundary always fire.
+                    pending[tag] = event
 
             def tick(tag, depth):
+                pending.pop(tag, None)
                 fired.append((sim.now, tag))
+                if pending and rng.random() < 0.4:
+                    # In-callback cancel of a same-instant or future event.
+                    tags = sorted(pending)
+                    now_tags = [t for t in tags if pending[t].time == sim.now]
+                    if now_tags and rng.random() < 0.5:
+                        tags = now_tags
+                    event = pending.pop(rng.choice(tags))
+                    cancels.append(event.time == sim.now)
+                    event.cancel()
                 if depth > 0:
                     # Same-instant and future reschedules, mixed priorities.
-                    sim.schedule(
-                        lambda: tick(tag * 10 + 1, depth - 1),
-                        after=rng.choice((0, 3 * US, 7 * US)),
-                        priority=rng.choice((-10, 0, 10)),
-                    )
+                    schedule(depth - 1, after=rng.choice((0, 0, 3 * US, 7 * US)))
 
-            for tag in range(12):
-                sim.schedule(
-                    lambda t=tag: tick(t, 4),
-                    at=rng.randrange(0, 2 * MS),
-                    priority=rng.choice((-10, 0, 10)),
-                )
-            sim.run(until=5 * MS)
-            return fired, sim.stats.events_executed
+            for at in instants * 3:
+                schedule(4, at=at)
+            for until in (instants[1], instants[3], 5 * MS):
+                sim.run(until=until)
+                fired.append(("run", sim.now))
+            return fired, cancels, sim.stats.events_executed
 
         heap_run = run("heap")
         calendar_run = run("calendar")
         assert heap_run == calendar_run, f"trial seed {seed}"
+        cancels = heap_run[1]
+        assert True in cancels and False in cancels, f"trial seed {seed}"
 
 
 class TestTelemetryEquivalence:

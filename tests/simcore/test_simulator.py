@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Profiler
 from repro.simcore import SimulationError, Simulator, every
 from repro.simcore.units import MS, US
 
@@ -67,6 +68,27 @@ def test_nested_scheduling_from_callback():
     sim.schedule(outer, after=5)
     sim.run()
     assert fired == [("outer", 5), ("inner", 15)]
+
+
+@pytest.mark.parametrize("loop", ["calendar", "heap", "calendar-profiled"])
+def test_raising_callback_keeps_the_rest_of_its_instant(loop):
+    backend, _, profiled = loop.partition("-")
+    sim = Simulator(scheduler=backend)
+    if profiled:
+        Profiler().attach(sim)
+    fired = []
+
+    def boom():
+        fired.append("A")
+        raise RuntimeError("boom")
+
+    sim.schedule(boom, at=5)
+    sim.schedule(lambda: fired.append("B"), at=5)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    sim.run()
+    assert fired == ["A", "B"]
+    assert sim.now == 5
 
 
 def test_step_executes_single_event():

@@ -2,7 +2,8 @@
 """Diff two or more sweep manifests cell by cell.
 
 CI's distributed-smoke job runs the *same* sweep on both executor
-backends (serial, local-pool:2) and pipes the manifests through
+backends (serial, local-pool:2), and serially once more on the heap
+scheduler (``REPRO_SIM_SCHEDULER=heap``), and pipes the manifests through
 this tool: per (figure, seed, params) cell it compares status, verdict,
 row counts, and — when the sweeps streamed their rows — the row
 payloads byte for byte.  Execution metadata that legitimately differs
