@@ -4,9 +4,11 @@ The design budget: with ``sweeptrace`` off (the default) the trace plane
 must cost a sweep **at most 1.05x** of its pre-tracing wall time.  With
 neither ``sweeptrace`` nor a status file the engine builds no
 control-plane fold (its "recorder") at all, and backends get no event
-channel, so the budget holds structurally; the cross-PR enforcement is
-the recorded sweep bench in the append-only history that ``repro bench
-compare`` judges.  What *this* benchmark proves in-process:
+channel, so the budget holds structurally.  Across commits, the
+perfbench ``sweep-cells`` workload (``perfbench/``, declared in
+``BENCHMARK.json``) enforces it: it runs ``run_jobs`` with no status file
+and no sweeptrace, so no fold, and its ``wall_s`` bound fails a change
+that slows that path.  What *this* benchmark proves in-process:
 
 - **off** and **traced** runs of the same seeded grid produce
   *byte-identical* rows (the trace observes the control plane, never
@@ -33,7 +35,7 @@ SEEDS = 4
 CYCLES = 200
 ROUNDS = 3
 
-#: Cross-PR budget for the *off* path, enforced by the bench history.
+#: Design budget for the *off* path; perfbench sweep-cells wall_s gates it.
 OFF_BUDGET_RATIO = 1.05
 #: Design target for tracing *on* (warning only — this is a report).
 ON_TARGET_RATIO = 1.5
@@ -75,7 +77,7 @@ def test_bench_sweeptrace_overhead(benchmark, tmp_path):
     print_table(
         f"Sweep tracing — control-plane overhead (fig4-delay x{SEEDS}, "
         f"cycles={CYCLES}, best of {ROUNDS}; off-mode budget "
-        f"{OFF_BUDGET_RATIO:.2f}x vs bench history)",
+        f"{OFF_BUDGET_RATIO:.2f}x)",
         ["config", "wall ms", "vs off"],
         rows,
     )

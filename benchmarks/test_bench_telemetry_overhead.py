@@ -5,9 +5,11 @@ every figure run) the plane must cost the fig6 kernel **at most 1.05x**
 of its pre-telemetry wall time.  The off path is the null-object
 pattern — every component caches ``get_telemetry().*_probe(self)`` as
 ``None`` at construction and the hot paths pay one ``is not None`` check
-— so the budget holds structurally; the cross-PR enforcement is the
-recorded fig6 kernel bench in the append-only history that ``repro
-bench compare`` judges.  What *this* benchmark proves in-process:
+— so the budget holds structurally.  Across commits, the perfbench
+``fig6-fabric`` workload (``perfbench/``, declared in ``BENCHMARK.json``)
+enforces it: it runs the fig6 kernel (256 clients, three topologies)
+with telemetry off, and its ``wall_s`` bound fails a change that slows
+the off path.  What *this* benchmark proves in-process:
 
 - **off** and **telemetry** runs of the same seeded kernel produce
   *identical* figure numbers (the plane observes, never perturbs);
@@ -15,9 +17,8 @@ bench compare`` judges.  What *this* benchmark proves in-process:
   postcard sampling, and the flight recorder are all O(1) per event;
 - the off path really is unwired (probe attributes are ``None``).
 
-The table reports the kernel wall time in both configurations.  The
-1.05x off-mode budget is restated as a constant so the history tooling
-and the docs quote one number.
+The table reports the kernel wall time in both configurations, next to
+the 1.05x off-mode budget.
 """
 
 import time
@@ -36,7 +37,7 @@ DURATION_NS = 400 * MS
 SEED = 0
 ROUNDS = 3
 
-#: Cross-PR budget for the *off* path, enforced by the bench history.
+#: Design budget for the *off* path; perfbench fig6-fabric wall_s gates it.
 OFF_BUDGET_RATIO = 1.05
 #: Design target for telemetry *on* (warning only — this is a report).
 ON_TARGET_RATIO = 2.0
@@ -78,8 +79,7 @@ def test_bench_telemetry_overhead(benchmark):
     ]
     print_table(
         f"Telemetry — fig6 kernel overhead ({TOPOLOGY}, {CLIENTS} clients, "
-        f"best of {ROUNDS}; off-mode budget {OFF_BUDGET_RATIO:.2f}x "
-        "vs bench history)",
+        f"best of {ROUNDS}; off-mode budget {OFF_BUDGET_RATIO:.2f}x)",
         ["config", "wall ms", "vs off"],
         rows,
     )

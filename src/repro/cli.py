@@ -57,22 +57,18 @@ sweep leaves a valid (partial) manifest behind.  Failed cells render a
 ``(failed)`` marker row instead of aborting the sweep.
 
 Cross-run observability (see :mod:`repro.obs.report`,
-:mod:`repro.obs.history`, :mod:`repro.obs.status`)::
+:mod:`repro.obs.status`)::
 
     python -m repro all --out-dir results/      # heartbeats results/status.json
     python -m repro obs tail results/ --follow  # live ok/failed/retry counts
     python -m repro report results/             # report.html + report.md
-    python -m repro bench record                # BENCH_<date>.json + history
-    python -m repro bench compare --warn-only   # regression check vs history
 
 ``report`` aggregates a run directory's manifest, row CSVs, metrics, and
-verdicts into a self-contained HTML + markdown report.  ``bench record``
-times the ``benchmarks/`` suite and appends to an append-only history;
-``bench compare`` flags median shifts outside a MAD-scaled noise band.
+verdicts into a self-contained HTML + markdown report.
 
-Exit codes: 0 success, 1 bench regression (without ``--warn-only``) or
-failed strict chaos verdicts, 2 usage/argument errors, 3 sweep completed
-*degraded* (some jobs failed or timed out; resume with ``--resume``).
+Exit codes: 0 success, 1 failed strict chaos verdicts, 2 usage/argument
+errors, 3 sweep completed *degraded* (some jobs failed or timed out;
+resume with ``--resume``).
 """
 
 from __future__ import annotations
@@ -380,71 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=10, metavar="N",
         help="merged hot-spot rows in the report (default: 10)",
     )
-
-    bench = subparsers.add_parser(
-        "bench", help="record / compare benchmark wall-time trajectories"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    sub = bench_sub.add_parser(
-        "record",
-        help="time the benchmarks suite and append to the history store",
-    )
-    sub.add_argument(
-        "--history", type=Path, default=Path(".repro-bench"), metavar="DIR",
-        help="history directory (default: .repro-bench)",
-    )
-    sub.add_argument(
-        "--out", type=Path, default=None, metavar="FILE",
-        help="BENCH_*.json output path (default: derived inside --history)",
-    )
-    sub.add_argument(
-        "--suite", default="benchmarks", metavar="PATH",
-        help="pytest target to time (default: benchmarks)",
-    )
-    sub.add_argument(
-        "-k", dest="select", default=None, metavar="EXPR",
-        help="pytest -k selection expression",
-    )
-    sub.add_argument(
-        "--from", dest="samples_from", type=Path, default=None,
-        metavar="FILE",
-        help=(
-            "ingest samples from an existing BENCH_*.json or pytest-hook "
-            "samples file instead of running pytest"
-        ),
-    )
-    sub.add_argument(
-        "--no-history", action="store_true",
-        help="write the BENCH file only; do not append to the history",
-    )
-    sub = bench_sub.add_parser(
-        "compare",
-        help="judge a BENCH_*.json against the history's noise band",
-    )
-    sub.add_argument(
-        "bench_file", nargs="?", type=Path, default=None, metavar="FILE",
-        help="BENCH_*.json to judge (default: newest in --history)",
-    )
-    sub.add_argument(
-        "--history", type=Path, default=Path(".repro-bench"), metavar="DIR",
-        help="history directory (default: .repro-bench)",
-    )
-    sub.add_argument(
-        "--window", type=int, default=8, metavar="N",
-        help="history entries the baseline median spans (default: 8)",
-    )
-    sub.add_argument(
-        "--mad-factor", type=float, default=4.0, metavar="F",
-        help="noise-band width in MAD-scaled sigmas (default: 4.0)",
-    )
-    sub.add_argument(
-        "--min-rel", type=float, default=0.10, metavar="R",
-        help="minimum relative noise band (default: 0.10)",
-    )
-    sub.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI bring-up mode)",
-    )
     return parser
 
 
@@ -453,8 +384,12 @@ def parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         first, _, last = text.partition("..")
-        return list(range(int(first), int(last) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+        seeds = list(range(int(first), int(last) + 1))
+    else:
+        seeds = [int(part) for part in text.split(",") if part.strip()]
+    if not seeds:
+        raise ValueError(f"empty seed list {text!r}")
+    return seeds
 
 
 def parse_param_grid(specs: list[str] | None) -> dict[str, list[str]]:
@@ -463,13 +398,12 @@ def parse_param_grid(specs: list[str] | None) -> dict[str, list[str]]:
     for item in specs or []:
         name, sep, values = item.partition("=")
         name = name.strip()
-        if not sep or not name or not values:
+        parts = [part for part in values.split(",") if part.strip()]
+        if not sep or not name or not parts:
             raise ValueError(
                 f"bad --param {item!r}; expected NAME=V1,V2,..."
             )
-        grid.setdefault(name, []).extend(
-            part for part in values.split(",") if part.strip()
-        )
+        grid.setdefault(name, []).extend(parts)
     return grid
 
 
@@ -989,178 +923,6 @@ def _run_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_history_dir(args: argparse.Namespace) -> Path:
-    return getattr(args, "history", None) or Path(".repro-bench")
-
-
-def _run_bench_record(args: argparse.Namespace) -> int:
-    import json
-    import platform
-    from datetime import datetime, timezone
-
-    from .obs.history import BenchHistory, BenchReport, BenchSample
-
-    history_dir = _bench_history_dir(args)
-    samples_from: Path | None = getattr(args, "samples_from", None)
-    if samples_from is not None:
-        try:
-            payload = json.loads(samples_from.read_text())
-        except OSError as exc:
-            raise ValueError(
-                f"cannot read samples file {samples_from}: {exc}"
-            ) from None
-        samples = [
-            BenchSample.from_dict(entry)
-            for entry in payload.get("samples", [])
-        ]
-    else:
-        samples = _collect_bench_samples(
-            suite=getattr(args, "suite", "benchmarks"),
-            select=getattr(args, "select", None),
-        )
-    if not samples:
-        raise ValueError(
-            "no benchmark samples collected; is the suite path right?"
-        )
-    now = datetime.now(timezone.utc)
-    report = BenchReport(
-        recorded_at=now.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        samples=samples,
-        meta={
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-    )
-    out: Path | None = getattr(args, "out", None)
-    if out is None:
-        out = history_dir / (
-            f"BENCH_{now.strftime('%Y-%m-%d_%H%M%S')}.json"
-        )
-    report.save(out)
-    print(f"wrote {out} ({len(samples)} benchmark(s))")
-    if not getattr(args, "no_history", False):
-        path = BenchHistory(history_dir).append(report)
-        print(f"appended to {path}")
-    return 0
-
-
-def _collect_bench_samples(suite: str, select: str | None):
-    """Time ``suite`` via a pytest subprocess and the conftest hook."""
-    import os
-    import subprocess
-    import tempfile
-
-    from .obs.history import BenchSample
-
-    src_dir = str(Path(__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        out_file = Path(tmp) / "samples.json"
-        env["REPRO_BENCH_OUT"] = str(out_file)
-        cmd = [
-            sys.executable, "-m", "pytest", suite, "-q",
-            "-p", "no:cacheprovider",
-        ]
-        if select:
-            cmd += ["-k", select]
-        proc = subprocess.run(cmd, env=env)
-        if not out_file.exists():
-            raise ValueError(
-                f"benchmark run produced no samples (pytest exit "
-                f"{proc.returncode}); does {suite} exist and does its "
-                f"conftest honor REPRO_BENCH_OUT?"
-            )
-        if proc.returncode != 0:
-            print(
-                f"repro bench: pytest exited {proc.returncode}; recording "
-                f"the samples that did complete",
-                file=sys.stderr,
-            )
-        import json
-
-        payload = json.loads(out_file.read_text())
-        return [
-            BenchSample.from_dict(entry)
-            for entry in payload.get("samples", [])
-        ]
-
-
-def _run_bench_compare(args: argparse.Namespace) -> int:
-    from .obs.history import (
-        STATUS_REGRESSION,
-        BenchHistory,
-        BenchReport,
-        detect_regressions,
-        format_findings,
-    )
-
-    history_dir = _bench_history_dir(args)
-    history = BenchHistory(history_dir)
-    if not history.reports():
-        # First run (empty or absent history.jsonl) is not a failure:
-        # CI seeds the history with this very invocation sequence, so a
-        # missing baseline must exit 0 with an explicit explanation.
-        print(
-            f"repro bench: no history yet at {history.path}; nothing to "
-            f"compare against. Run 'repro bench record' to start one."
-        )
-        return 0
-    bench_file: Path | None = getattr(args, "bench_file", None)
-    if bench_file is None:
-        candidates = sorted(history_dir.glob("BENCH_*.json"))
-        if not candidates:
-            raise ValueError(
-                f"no BENCH_*.json under {history_dir}; run "
-                f"'repro bench record' first or pass a file"
-            )
-        bench_file = candidates[-1]
-    try:
-        report = BenchReport.load(bench_file)
-    except OSError as exc:
-        raise ValueError(
-            f"cannot read bench file {bench_file}: {exc}"
-        ) from None
-    findings = detect_regressions(
-        history,
-        report,
-        window=getattr(args, "window", 8),
-        mad_factor=getattr(args, "mad_factor", 4.0),
-        min_rel=getattr(args, "min_rel", 0.10),
-    )
-    print(f"{bench_file} vs {history.path}:")
-    print(format_findings(findings))
-    regressions = [f for f in findings if f.status == STATUS_REGRESSION]
-    fresh = sum(1 for f in findings if f.status == "new")
-    summary = (
-        f"{len(findings)} benchmark(s): {len(regressions)} regression(s)"
-    )
-    if fresh:
-        summary += f", {fresh} without history yet"
-    print(summary)
-    if regressions:
-        if getattr(args, "warn_only", False):
-            print(
-                "repro bench: regressions detected, but --warn-only is "
-                "set; not failing",
-                file=sys.stderr,
-            )
-            return 0
-        return 1
-    return 0
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    command = getattr(args, "bench_command", None)
-    if command == "record":
-        return _run_bench_record(args)
-    if command == "compare":
-        return _run_bench_compare(args)
-    raise ValueError(f"unknown bench command {command!r}")
-
-
 def dispatch(args: argparse.Namespace) -> int:
     """Execute a parsed (or hand-built) namespace.
 
@@ -1182,8 +944,6 @@ def dispatch(args: argparse.Namespace) -> int:
             return _run_obs(args)
         if command == "report":
             return _run_report(args)
-        if command == "bench":
-            return _run_bench(args)
         if command == "chaos":
             from .chaos.cli import dispatch_chaos
 

@@ -147,6 +147,9 @@ class TestCliRedesign:
         assert parse_seeds("0,1,2") == [0, 1, 2]
         assert parse_seeds("0..4") == [0, 1, 2, 3, 4]
         assert parse_seeds("7") == [7]
+        for empty in ("3..1", ",", ""):
+            with pytest.raises(ValueError, match="empty seed list"):
+                parse_seeds(empty)
 
     def test_parse_param_grid(self):
         assert parse_param_grid(["cycles=1,2", "flow_counts=1:5"]) == {
@@ -154,3 +157,6 @@ class TestCliRedesign:
         }
         with pytest.raises(ValueError, match="bad --param"):
             parse_param_grid(["cycles"])
+        for empty in ("cycles=,", "cycles= , "):
+            with pytest.raises(ValueError, match="bad --param"):
+                parse_param_grid([empty])
